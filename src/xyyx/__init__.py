@@ -8,6 +8,7 @@ from .errors import (
     NonIntegralExponent,
     NonPositiveParameter,
     NonRationalTuple,
+    PointBudgetExceeded,
 )
 from .exact import ONE, PrimePowerProduct, digit_count, factorize, is_prime, log10_interval
 from .solutions import (

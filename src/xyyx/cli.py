@@ -42,6 +42,7 @@ from .solutions import (
 )
 from .transforms import (
     DEFAULT_POINT_BUDGET,
+    check_point_budget,
     closed_equality_check,
     pair_from_euler,
     quad_from_family,
@@ -223,6 +224,7 @@ def cmd_digits(args) -> dict:
 def cmd_vpv_eval(args) -> dict:
     X = parse_rational(args.X)
     Y = parse_rational(args.Y)
+    check_point_budget(1, args.truncation, args.truncation, DEFAULT_POINT_BUDGET)
     report = eval_product(
         X,
         Y,
@@ -270,7 +272,12 @@ def cmd_transform(args) -> dict:
         inst = pair_from_euler(args.n)
         inputs = {"n": args.n}
         report = verify_pair_transform(
-            inst, args.truncation, args.truncation, args.precision, convention
+            inst,
+            args.truncation,
+            args.truncation,
+            args.precision,
+            convention,
+            point_budget=args.point_budget,
         )
     else:
         a, b, c = (parse_rational(s) for s in args.abc)
@@ -397,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abc", nargs=3, default=None, metavar=("A", "B", "C"),
                    help="quad instance from family parameters")
     p.add_argument("--point-budget", type=int, default=DEFAULT_POINT_BUDGET,
-                   help="lattice-point budget for the feasibility gate")
+                   help="lattice-point budget for the product evaluations "
+                   "(default %(default)s)")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("search", parents=[common], help="all-integer family tuples in a range")
@@ -406,6 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     return parser
+
+
+def _env_precision() -> int:
+    text = os.environ.get(PRECISION_ENV, str(DEFAULT_PRECISION))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{PRECISION_ENV} must be an integer, got {text!r}") from None
 
 
 _USER_ERRORS = (
@@ -422,9 +438,9 @@ _USER_ERRORS = (
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.precision is None:
-        args.precision = int(os.environ.get(PRECISION_ENV, DEFAULT_PRECISION))
     try:
+        if args.precision is None:
+            args.precision = _env_precision()
         result = args.func(args)
     except _USER_ERRORS as exc:
         result = _result(args.command, {}, {}, status="error", message=str(exc))

@@ -23,3 +23,7 @@ class DegenerateParameters(ValueError):
 
 class DomainViolation(ValueError):
     """A product parameter lies outside the open unit interval (-1, 1)."""
+
+
+class PointBudgetExceeded(ValueError):
+    """A product evaluation would enumerate more lattice points than allowed."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .errors import DomainViolation, NonPositiveParameter
+from .errors import DomainViolation, NonPositiveParameter, PointBudgetExceeded
 from .exact import PrimePowerProduct
 from .solutions import SolutionTuple, euler_solution, general_solution
 from .vpv import Convention, EvalReport, Form, eval_product, tail_bound
@@ -159,6 +159,25 @@ def closed_equality_check(t: TransformInstance) -> bool:
     return _quad_identity(sol).holds
 
 
+def estimated_points(evaluations: int, Nj: int, Nk: int) -> int:
+    """Visible points that evaluations products over an Nj x Nk box enumerate.
+
+    A box holds about 6/pi^2 * Nj * Nk coprime pairs; 6/pi^2 < 0.60793, and
+    integer arithmetic keeps huge boxes from overflowing a float.
+    """
+    return -(-evaluations * Nj * Nk * 60793 // 100000)
+
+
+def check_point_budget(evaluations: int, Nj: int, Nk: int, budget: int) -> None:
+    """Refuse product evaluations whose estimated points exceed the budget."""
+    points = estimated_points(evaluations, Nj, Nk)
+    if points > budget:
+        raise PointBudgetExceeded(
+            f"estimated {points} lattice points ({evaluations} evaluations of the "
+            f"{Nj} x {Nk} box) exceed the point budget of {budget}"
+        )
+
+
 def _slack(precision_bits: int):
     return mp.ldexp(1, -precision_bits + 16)
 
@@ -169,14 +188,17 @@ def verify_pair_transform(
     Nk: int = 400,
     precision_bits: int = 256,
     convention: Convention = Convention.AXIS,
+    point_budget: int = DEFAULT_POINT_BUDGET,
 ) -> TransformReport:
     """Compare the (X, Y) and (Y, X) direct products in the log domain.
 
     Verdict is true iff the log difference is within the two tail bounds plus
-    precision slack.
+    precision slack.  Raises PointBudgetExceeded when the two evaluations
+    would enumerate more than point_budget points.
     """
     if t.kind != "pair":
         raise ValueError(f"expected a pair instance, got {t.kind}")
+    check_point_budget(2, Nj, Nk, point_budget)
     left = eval_product(t.X, t.Y, Nj, Nk, precision_bits, convention, Form.DIRECT)
     right = eval_product(t.Y, t.X, Nj, Nk, precision_bits, convention, Form.DIRECT)
     with mp.workprec(precision_bits + 16):
@@ -226,7 +248,7 @@ def _smallest_feasible_truncation(
     t: TransformInstance, start: int, tol, budget: int, convention: Convention
 ) -> int | None:
     n = max(start, 1)
-    while n * n <= 4 * budget:
+    while estimated_points(4, n, n) <= budget:
         if _quad_tail(t, n, convention) <= tol:
             return n
         n *= 2
@@ -248,7 +270,10 @@ def verify_quad_transform(
     the combined tail bound at the requested truncation exceeds tolerance the
     numeric comparison would be vacuous (and, for parameters like 2303/2304,
     astronomically expensive), so the report flags infeasible-truncation and
-    carries the exact scalar verdict instead.
+    carries the exact scalar verdict instead, with the smallest doubling of
+    the truncation whose four evaluations fit point_budget, if any.  A
+    feasible comparison whose evaluations exceed point_budget raises
+    PointBudgetExceeded.
     """
     if t.kind != "quad":
         raise ValueError(f"expected a quad instance, got {t.kind}")
@@ -259,8 +284,6 @@ def verify_quad_transform(
         feasible = _smallest_feasible_truncation(
             t, max(Nj, Nk), tol, point_budget, convention
         )
-        if feasible is not None and feasible * feasible > point_budget:
-            feasible = None
         return TransformReport(
             left=None,
             right=None,
@@ -271,6 +294,7 @@ def verify_quad_transform(
             exact_verdict=closed_equality_check(t),
             feasible_truncation=feasible,
         )
+    check_point_budget(4, Nj, Nk, point_budget)
     lx = eval_product(t.X, t.Y, Nj, Nk, precision_bits, convention, Form.DIRECT)
     ly = eval_product(t.Y, t.X, Nj, Nk, precision_bits, convention, Form.DIRECT)
     rv = eval_product(t.V, t.W, Nj, Nk, precision_bits, convention, Form.DIRECT)

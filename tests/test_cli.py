@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -185,6 +186,31 @@ class TestTransform:
         assert code == 1
 
 
+class TestPointBudget:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("vpv-eval", "1/2", "3/4"),
+            ("transform", "--n", "1"),
+            ("transform", "--abc", "3", "2", "1"),
+        ],
+    )
+    def test_over_budget_box_is_refused_at_once(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, doc = run_json(capsys, *argv, "--truncation", "100000")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and doc["status"] == "error"
+        assert "lattice points" in doc["message"]
+        assert "point budget of 10000000" in doc["message"]
+
+    def test_pair_transform_honours_point_budget(self, capsys):
+        code, doc = run_json(
+            capsys, "transform", "--n", "1", "--truncation", "150", "--point-budget", "1000"
+        )
+        assert code == 1 and doc["status"] == "error"
+        assert "point budget of 1000" in doc["message"]
+
+
 class TestSearch:
     def test_6_4(self, capsys):
         _, doc = run_json(capsys, "search", "6", "4")
@@ -214,6 +240,12 @@ class TestOutputModes:
         monkeypatch.setenv("VPV_PRECISION_BITS", "128")
         _, doc = run_json(capsys, "vpv-eval", "1/10", "1/5", "--truncation", "20")
         assert doc["results"]["precision_bits"] == 128
+
+    def test_bad_env_precision_is_error_record(self, capsys, monkeypatch):
+        monkeypatch.setenv("VPV_PRECISION_BITS", "abc")
+        code, doc = run_json(capsys, "euler", "2")
+        assert code == 1 and doc["status"] == "error"
+        assert "VPV_PRECISION_BITS" in doc["message"]
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("VPV_PRECISION_BITS", "128")

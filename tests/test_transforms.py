@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp
 
-from xyyx.errors import DomainViolation, NonRationalTuple
+from xyyx.errors import DomainViolation, NonRationalTuple, PointBudgetExceeded
 from xyyx.solutions import euler_solution
 from xyyx.transforms import (
     closed_equality_check,
@@ -108,6 +108,10 @@ class TestVerifyPairTransform:
             b = verify_pair_transform(manual_pair(Y, X), 120, 120, 192)
             assert a.verdict == b.verdict
 
+    def test_over_budget_raises(self):
+        with pytest.raises(PointBudgetExceeded):
+            verify_pair_transform(pair_from_euler(1), 150, 150, 256, point_budget=10**4)
+
     def test_rejects_quad_instance(self):
         with pytest.raises(ValueError):
             verify_pair_transform(quad_from_family(F(3), F(2), F(1)))
@@ -138,6 +142,12 @@ class TestVerifyQuadTransform:
         assert rep.left is None
         assert rep.exact_verdict is True
         assert rep.feasible_truncation is None  # not within the default budget
+
+    def test_feasible_but_over_budget_raises(self):
+        with pytest.raises(PointBudgetExceeded):
+            verify_quad_transform(
+                quad_from_family(F(3), F(2), F(1)), 200, 200, 256, point_budget=10**4
+            )
 
     def test_bad_quad_still_reports_false_exact_verdict(self):
         inst = manual_quad(F(1, 2), F(3, 4), F(1, 2), F(1, 2))

@@ -1,8 +1,11 @@
+import functools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from xyyx.errors import DomainViolation
@@ -154,6 +157,105 @@ class TestEvalProduct:
     def test_domain_violation(self):
         with pytest.raises(DomainViolation):
             eval_product(F(9, 8), F(1, 2), 10, 10, 128)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_strict_sum(X, Y, Nj, Nk, prec):
+    """Strict direct log-sum, one log per visible point, Kahan-summed in
+    (j, k)-lexicographic order: the evaluator the column products replaced."""
+    with mp.workprec(prec):
+        xm, ym = mpf_q(X), mpf_q(Y)
+        one = mp.mpf(1)
+        xpow = [one]
+        for _ in range(Nj):
+            xpow.append(xpow[-1] * xm)
+        ypow = [one]
+        for _ in range(Nk):
+            ypow.append(ypow[-1] * ym)
+        total = mp.mpf(0)
+        comp = mp.mpf(0)
+        for j in range(1, Nj + 1):
+            xj = xpow[j]
+            if xj == 0:
+                break
+            for k in range(1, Nk + 1):
+                if math.gcd(j, k) == 1:
+                    term = mp.log(one - xj * ypow[k]) / k
+                    yy = term - comp
+                    tt = total + yy
+                    comp = (tt - total) - yy
+                    total = tt
+        return total
+
+
+def reference_log_value(X, Y, Nj, Nk, precision_bits, convention, form):
+    """Per-point reference for eval_product's log_value.
+
+    Runs at precision_bits + 2 * GUARD_BITS: at + GUARD_BITS its own rounding
+    of the powers, amplified by 1/(1 - X^j Y^k), reaches 2^-(p+15) at
+    X = Y = 2303/2304, above the agreement tolerance below.
+    """
+    prec = precision_bits + 2 * GUARD_BITS
+    total = _reference_strict_sum(X, Y, Nj, Nk, prec)
+    with mp.workprec(prec):
+        if convention is AXIS:
+            total = total + mp.log(1 - mpf_q(Y))
+        return total if form is DIRECT else -total
+
+
+MAGNITUDES = (F(1, 10), F(1, 2), F(14, 15), F(2303, 2304))
+SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def assert_agrees_with_reference(X, Y, Nj, Nk, bits):
+    tol = mp.ldexp(1, -(bits + 16))
+    for conv in (AXIS, STRICT):
+        for form in (DIRECT, RECIPROCAL):
+            r = eval_product(X, Y, Nj, Nk, bits, conv, form)
+            ref = reference_log_value(X, Y, Nj, Nk, bits, conv, form)
+            with mp.workprec(bits + 3 * GUARD_BITS):
+                assert abs(r.log_value - ref) <= tol, (X, Y, Nj, Nk, bits, conv, form)
+
+
+class TestColumnProductAgreement:
+    @pytest.mark.parametrize("sx,sy", SIGNS)
+    @pytest.mark.parametrize("bits,Nj,Nk", [(128, 37, 23), (256, 23, 37)])
+    def test_magnitude_grid(self, sx, sy, bits, Nj, Nk):
+        for mx in MAGNITUDES:
+            for my in MAGNITUDES:
+                assert_agrees_with_reference(sx * mx, sy * my, Nj, Nk, bits)
+
+    @pytest.mark.parametrize(
+        "X,Y,Nj,Nk",
+        [
+            (F(1, 2), F(-14, 15), 20, 13),
+            (F(-2303, 2304), F(1, 10), 13, 20),
+            (F(14, 15), F(2303, 2304), 20, 13),
+            (F(-1, 10), F(-1, 2), 13, 20),
+        ],
+    )
+    def test_2048_bits(self, X, Y, Nj, Nk):
+        assert_agrees_with_reference(X, Y, Nj, Nk, 2048)
+
+    @pytest.mark.parametrize(
+        "X,Y", [(F(0), F(7, 9)), (F(0), F(-1, 2)), (F(1, 2), F(0)), (F(-14, 15), F(0)), (F(0), F(0))]
+    )
+    def test_zero_parameters(self, X, Y):
+        assert_agrees_with_reference(X, Y, 30, 17, 128)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        X=st.fractions(-1, 1, max_denominator=10**4).filter(lambda q: abs(q) < 1),
+        Y=st.fractions(-1, 1, max_denominator=10**4).filter(lambda q: abs(q) < 1),
+        Nj=st.integers(1, 60),
+        Nk=st.integers(1, 60),
+        bits=st.sampled_from([64, 128, 256]),
+        conv=st.sampled_from([AXIS, STRICT]),
+        form=st.sampled_from([DIRECT, RECIPROCAL]),
+    )
+    def test_within_tail_bound_plus_slack(self, X, Y, Nj, Nk, bits, conv, form):
+        r = eval_product(X, Y, Nj, Nk, bits, conv, form)
+        assert r.abs_log_diff <= r.tail_bound + mp.ldexp(1, -bits + 16)
 
 
 class TestTailBound:
