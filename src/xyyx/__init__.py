@@ -13,6 +13,7 @@ from .errors import (
 from .exact import ONE, PrimePowerProduct, digit_count, factorize, is_prime, log10_interval
 from .solutions import (
     NumericVerdict,
+    ScalarIdentity,
     SolutionTuple,
     TrivialityVerdict,
     classify_triviality,
@@ -27,7 +28,6 @@ from .solutions import (
     verify_product_equation,
 )
 from .transforms import (
-    ScalarIdentity,
     TransformInstance,
     TransformReport,
     closed_equality_check,

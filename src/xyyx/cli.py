@@ -20,21 +20,15 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import __version__
-from .errors import (
-    DegenerateParameters,
-    DomainViolation,
-    NonIntegerValue,
-    NonIntegralExponent,
-    NonPositiveParameter,
-    NonRationalTuple,
-)
-from .exact import PrimePowerProduct, digit_count, log10_interval
+from .errors import NonIntegerValue, NonPositiveParameter
+from .exact import digit_count, log10_interval
 from .solutions import (
     classify_triviality,
     euler_solution,
     general_solution,
     manual_tuple,
     numeric_verify,
+    quad_identity,
     rational_family,
     search_integer_solutions,
     verify_power_equation,
@@ -63,7 +57,10 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational of the form p/q or p: {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def render_fraction(q: Fraction) -> str:
@@ -204,8 +201,7 @@ def cmd_digits(args) -> dict:
         raise NonIntegerValue(
             f"family ({args.b}, {args.c}) is not integer-valued: x = {t.x}"
         )
-    xq, yq, _, _ = t.as_fractions()
-    common = (t.x**yq) * (t.y**xq)
+    common = quad_identity(t).left
     digits = digit_count(common)
     enc = log10_interval(common, args.precision)
     with mp.workprec(args.precision + 8):
@@ -424,17 +420,6 @@ def _env_precision() -> int:
         raise ValueError(f"{PRECISION_ENV} must be an integer, got {text!r}") from None
 
 
-_USER_ERRORS = (
-    DegenerateParameters,
-    DomainViolation,
-    NonIntegerValue,
-    NonIntegralExponent,
-    NonPositiveParameter,
-    NonRationalTuple,
-    ValueError,
-)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -442,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.precision is None:
             args.precision = _env_precision()
         result = args.func(args)
-    except _USER_ERRORS as exc:
+    except ValueError as exc:  # every error class in errors.py is one
         result = _result(args.command, {}, {}, status="error", message=str(exc))
     return emit(result, args.json)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -206,25 +207,44 @@ class PrimePowerProduct:
 ONE = PrimePowerProduct()
 
 
+def check_precision(precision_bits: int) -> None:
+    """Refuse working precisions below 64 bits."""
+    if precision_bits < 64:
+        raise ValueError(f"precision_bits must be >= 64, got {precision_bits}")
+
+
+@contextmanager
+def iv_precision(bits: int):
+    """Run the block with mpmath's interval context at bits (iv has no workprec)."""
+    saved = iv.prec
+    try:
+        iv.prec = bits
+        yield
+    finally:
+        iv.prec = saved
+
+
+def log_interval(u: PrimePowerProduct, unit=1):
+    """Enclosure of sum(e_p * (log p / unit)) at the current interval precision.
+
+    Dividing each term, not the sum, keeps log10 enclosures bit for bit.
+    """
+    total = iv.mpf(0)
+    for p, e in u.factors:
+        coeff = iv.mpf(e.numerator) / iv.mpf(e.denominator)
+        total += coeff * (iv.log(iv.mpf(p)) / unit)
+    return total
+
+
 def log10_interval(u: PrimePowerProduct, precision_bits: int = 256):
     """Rigorous enclosure of log10(u) as an mpmath interval.
 
     The returned interval is guaranteed to contain sum(e_p * log10(p)); its
     width shrinks as precision_bits grows.
     """
-    if precision_bits < 64:
-        raise ValueError(f"precision_bits must be >= 64, got {precision_bits}")
-    old = iv.prec
-    iv.prec = precision_bits
-    try:
-        total = iv.mpf(0)
-        ln10 = iv.log(iv.mpf(10))
-        for p, e in u.factors:
-            coeff = iv.mpf(e.numerator) / iv.mpf(e.denominator)
-            total += coeff * (iv.log(iv.mpf(p)) / ln10)
-        return total
-    finally:
-        iv.prec = old
+    check_precision(precision_bits)
+    with iv_precision(precision_bits):
+        return log_interval(u, iv.log(iv.mpf(10)))
 
 
 def digit_count(u: PrimePowerProduct) -> int:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 from mpmath import iv, mp
 
 from .errors import DegenerateParameters, NonPositiveParameter, NonRationalTuple
-from .exact import ONE, PrimePowerProduct
+from .exact import ONE, PrimePowerProduct, check_precision, iv_precision, log_interval
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,31 @@ class SolutionTuple:
 
 
 @dataclass(frozen=True)
+class ScalarIdentity:
+    """Both sides of an underlying power equality, as prime-power products."""
+
+    left: PrimePowerProduct
+    right: PrimePowerProduct
+
+    @property
+    def holds(self) -> bool:
+        return self.left == self.right
+
+
+def pair_identity(x: Fraction, y: Fraction) -> ScalarIdentity:
+    """x^y against y^x, for positive rationals x and y."""
+    vx = PrimePowerProduct.from_fraction(x)
+    vy = PrimePowerProduct.from_fraction(y)
+    return ScalarIdentity(vx**y, vy**x)
+
+
+def quad_identity(t: SolutionTuple) -> ScalarIdentity:
+    """x^y y^x against v^w w^v, for a rational-valued tuple."""
+    xq, yq, vq, wq = t.as_fractions()
+    return ScalarIdentity((t.x**yq) * (t.y**xq), (t.v**wq) * (t.w**vq))
+
+
+@dataclass(frozen=True)
 class TrivialityVerdict:
     trivial: bool
     reason: str  # "multiset-equal" | "contains-one" | "none"
@@ -68,9 +93,7 @@ def verify_power_equation(x: Fraction, y: Fraction) -> bool:
     x, y = Fraction(x), Fraction(y)
     if x <= 0 or y <= 0:
         raise NonPositiveParameter(f"arguments must be positive, got ({x}, {y})")
-    vx = PrimePowerProduct.from_fraction(x)
-    vy = PrimePowerProduct.from_fraction(y)
-    return vx**y == vy**x
+    return pair_identity(x, y).holds
 
 
 def general_solution(a: Fraction, b: Fraction, c: Fraction) -> SolutionTuple:
@@ -107,8 +130,7 @@ def rational_family(b: int, c: int) -> SolutionTuple:
 
 def verify_product_equation(t: SolutionTuple) -> bool:
     """Exact check of x^y y^x = v^w w^v for a rational-valued tuple."""
-    xq, yq, vq, wq = t.as_fractions()
-    return (t.x**yq) * (t.y**xq) == (t.v**wq) * (t.w**vq)
+    return quad_identity(t).holds
 
 
 def verify_fractions(x: Fraction, y: Fraction, v: Fraction, w: Fraction) -> bool:
@@ -129,13 +151,6 @@ class NumericVerdict(NamedTuple):
     residual: object  # mpmath interval enclosing log(x^y y^x) - log(v^w w^v)
 
 
-def _iv_log_value(u: PrimePowerProduct):
-    total = iv.mpf(0)
-    for p, e in u.factors:
-        total += (iv.mpf(e.numerator) / iv.mpf(e.denominator)) * iv.log(iv.mpf(p))
-    return total
-
-
 def numeric_verify(t: SolutionTuple, precision_bits: int = 256) -> NumericVerdict:
     """Interval check of |log(x^y y^x) - log(v^w w^v)| at the given precision.
 
@@ -143,12 +158,9 @@ def numeric_verify(t: SolutionTuple, precision_bits: int = 256) -> NumericVerdic
     2^(-precision_bits/2).  Works for irrational tuples, where the exact
     exponent-vector comparison does not apply.
     """
-    if precision_bits < 64:
-        raise ValueError(f"precision_bits must be >= 64, got {precision_bits}")
-    old = iv.prec
-    iv.prec = precision_bits
-    try:
-        logs = [_iv_log_value(u) for u in t.values()]
+    check_precision(precision_bits)
+    with iv_precision(precision_bits):
+        logs = [log_interval(u) for u in t.values()]
         vals = [iv.exp(lg) for lg in logs]
         lx, ly, lv, lw = logs
         x, y, v, w = vals
@@ -157,8 +169,6 @@ def numeric_verify(t: SolutionTuple, precision_bits: int = 256) -> NumericVerdic
             width = mp.mpf(residual.delta.b)
             ok = (0 in residual) and width < mp.ldexp(1, -(precision_bits // 2))
         return NumericVerdict(ok, residual)
-    finally:
-        iv.prec = old
 
 
 def classify_triviality(t: SolutionTuple) -> TrivialityVerdict:

@@ -5,34 +5,35 @@ a four-value solution maps via X = (x-1)/x, Y = (ax-1)/(ax), V = (bx-1)/(bx),
 W = (cx-1)/(cx).  Each instance carries the underlying scalar equality as
 prime-power products, so the exact identity is checkable independently of any
 numerics.
+
+Both identities compare two sides, each a product of direct products F(A, B):
+F(X, Y) against F(Y, X) for a pair, F(X, Y) F(Y, X) against F(V, W) F(W, V)
+for a quad.  One path verifies both; a quad first checks that its summed
+tail bound can reach the tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from mpmath import mp
 
-from .errors import DomainViolation, NonPositiveParameter, PointBudgetExceeded
-from .exact import PrimePowerProduct
-from .solutions import SolutionTuple, euler_solution, general_solution
-from .vpv import Convention, EvalReport, Form, eval_product, tail_bound
+from .errors import NonPositiveParameter, PointBudgetExceeded
+from .exact import check_precision
+from .solutions import (
+    ScalarIdentity,
+    euler_solution,
+    general_solution,
+    manual_tuple,
+    pair_identity,
+    quad_identity,
+)
+from .vpv import Convention, EvalReport, Form, check_box, check_unit, eval_product, tail_bound
 
 DEFAULT_TOLERANCE = Fraction(1, 10**8)
 DEFAULT_POINT_BUDGET = 10**7
-
-
-@dataclass(frozen=True)
-class ScalarIdentity:
-    """Both sides of the underlying power equality, as prime-power products."""
-
-    left: PrimePowerProduct
-    right: PrimePowerProduct
-
-    @property
-    def holds(self) -> bool:
-        return self.left == self.right
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,13 @@ class TransformInstance:
         if self.kind == "pair":
             return (self.X, self.Y)
         return (self.X, self.Y, self.V, self.W)
+
+    def sides(self) -> tuple[list, list]:
+        """The (A, B) arguments of each side's direct products F(A, B)."""
+        X, Y, V, W = self.X, self.Y, self.V, self.W
+        if self.kind == "pair":
+            return [(X, Y)], [(Y, X)]
+        return [(X, Y), (Y, X)], [(V, W), (W, V)]
 
 
 @dataclass(frozen=True)
@@ -73,21 +81,12 @@ class TransformReport:
     feasible_truncation: int | None = None
 
 
-def _pair_identity(x: Fraction, y: Fraction) -> ScalarIdentity:
-    vx = PrimePowerProduct.from_fraction(x)
-    vy = PrimePowerProduct.from_fraction(y)
-    return ScalarIdentity(vx**y, vy**x)
-
-
-def _quad_identity(t: SolutionTuple) -> ScalarIdentity:
-    xq, yq, vq, wq = t.as_fractions()
-    return ScalarIdentity((t.x**yq) * (t.y**xq), (t.v**wq) * (t.w**vq))
-
-
-def _unit_fraction(name: str, q: Fraction) -> Fraction:
-    if abs(q) >= 1:
-        raise DomainViolation(f"parameter {name} = {q} has magnitude >= 1")
-    return q
+def _identity_from_parameters(kind: str, params: tuple[Fraction, ...]) -> ScalarIdentity:
+    """The scalar identity behind product parameters, via x = 1/(1-X)."""
+    values = [1 / (1 - q) for q in params]
+    if kind == "pair":
+        return pair_identity(*values)
+    return quad_identity(manual_tuple(*values))
 
 
 def pair_from_euler(n: int) -> TransformInstance:
@@ -100,18 +99,17 @@ def pair_from_euler(n: int) -> TransformInstance:
         Y=Y,
         source="euler",
         params=(Fraction(n),),
-        scalar_identity=_pair_identity(x, y),
+        scalar_identity=pair_identity(x, y),
     )
 
 
 def manual_pair(X: Fraction, Y: Fraction) -> TransformInstance:
-    X = _unit_fraction("X", Fraction(X))
-    Y = _unit_fraction("Y", Fraction(Y))
+    X, Y = check_unit("X", X), check_unit("Y", Y)
     return TransformInstance(
         kind="pair",
         X=X,
         Y=Y,
-        scalar_identity=_pair_identity(1 / (1 - X), 1 / (1 - Y)),
+        scalar_identity=_identity_from_parameters("pair", (X, Y)),
     )
 
 
@@ -122,11 +120,7 @@ def quad_from_family(a: Fraction, b: Fraction, c: Fraction) -> TransformInstance
     above 1/2, so that each mapped parameter lands inside (-1, 1).
     """
     t = general_solution(a, b, c)
-    xq, yq, vq, wq = t.as_fractions()
-    X = _unit_fraction("X", (xq - 1) / xq)
-    Y = _unit_fraction("Y", (yq - 1) / yq)
-    V = _unit_fraction("V", (vq - 1) / vq)
-    W = _unit_fraction("W", (wq - 1) / wq)
+    X, Y, V, W = (check_unit(n, (q - 1) / q) for n, q in zip("XYVW", t.as_fractions()))
     return TransformInstance(
         kind="quad",
         X=X,
@@ -135,28 +129,21 @@ def quad_from_family(a: Fraction, b: Fraction, c: Fraction) -> TransformInstance
         W=W,
         source="family",
         params=tuple(Fraction(q) for q in (a, b, c)),
-        scalar_identity=_quad_identity(t),
+        scalar_identity=quad_identity(t),
     )
 
 
 def manual_quad(X: Fraction, Y: Fraction, V: Fraction, W: Fraction) -> TransformInstance:
-    X, Y, V, W = (_unit_fraction(n, Fraction(q)) for n, q in zip("XYVW", (X, Y, V, W)))
-    f = PrimePowerProduct.from_fraction
-    t = SolutionTuple(f(1 / (1 - X)), f(1 / (1 - Y)), f(1 / (1 - V)), f(1 / (1 - W)))
+    params = tuple(check_unit(n, q) for n, q in zip("XYVW", (X, Y, V, W)))
+    X, Y, V, W = params
     return TransformInstance(
-        kind="quad", X=X, Y=Y, V=V, W=W, scalar_identity=_quad_identity(t)
+        kind="quad", X=X, Y=Y, V=V, W=W, scalar_identity=_identity_from_parameters("quad", params)
     )
 
 
 def closed_equality_check(t: TransformInstance) -> bool:
     """Exact closed-form equality behind the instance, recomputed from scratch."""
-    if t.kind == "pair":
-        return _pair_identity(1 / (1 - t.X), 1 / (1 - t.Y)).holds
-    f = PrimePowerProduct.from_fraction
-    sol = SolutionTuple(
-        f(1 / (1 - t.X)), f(1 / (1 - t.Y)), f(1 / (1 - t.V)), f(1 / (1 - t.W))
-    )
-    return _quad_identity(sol).holds
+    return _identity_from_parameters(t.kind, t.parameters()).holds
 
 
 def estimated_points(evaluations: int, Nj: int, Nk: int) -> int:
@@ -196,21 +183,17 @@ def verify_pair_transform(
     precision slack.  Raises PointBudgetExceeded when the two evaluations
     would enumerate more than point_budget points.
     """
-    if t.kind != "pair":
-        raise ValueError(f"expected a pair instance, got {t.kind}")
-    check_point_budget(2, Nj, Nk, point_budget)
-    left = eval_product(t.X, t.Y, Nj, Nk, precision_bits, convention, Form.DIRECT)
-    right = eval_product(t.Y, t.X, Nj, Nk, precision_bits, convention, Form.DIRECT)
-    with mp.workprec(precision_bits + 16):
-        diff = abs(left.log_value - right.log_value)
-        bound = left.tail_bound + right.tail_bound + _slack(precision_bits)
-    return TransformReport(
-        left=left,
-        right=right,
-        abs_log_diff=diff,
-        combined_bound=bound,
-        verdict=bool(diff <= bound),
-    )
+    sides = _checked_sides(t, "pair", Nj, Nk, precision_bits)
+    return _compare_sides(sides, Nj, Nk, precision_bits, convention, point_budget)
+
+
+def _checked_sides(t: TransformInstance, kind: str, Nj: int, Nk: int, precision_bits: int):
+    """The instance's sides, once its kind, box and precision are accepted."""
+    if t.kind != kind:
+        raise ValueError(f"expected a {kind} instance, got {t.kind}")
+    check_box(Nj, Nk)
+    check_precision(precision_bits)
+    return t.sides()
 
 
 def _combine(r1: EvalReport, r2: EvalReport) -> EvalReport:
@@ -234,22 +217,41 @@ def _combine(r1: EvalReport, r2: EvalReport) -> EvalReport:
     )
 
 
-def _quad_tail(t: TransformInstance, N: int, convention: Convention):
+def _compare_sides(
+    sides, Nj: int, Nk: int, precision_bits: int, convention: Convention, point_budget: int
+) -> TransformReport:
+    """Evaluate every factor, fold each side, and compare the two sides.
+
+    A one-factor side is its own EvalReport.  The verdict is true iff the
+    log difference is within both sides' tail bounds plus precision slack.
+    """
+    check_point_budget(sum(map(len, sides)), Nj, Nk, point_budget)
+    evaluate = lambda A, B: eval_product(A, B, Nj, Nk, precision_bits, convention, Form.DIRECT)
+    left, right = (reduce(_combine, [evaluate(A, B) for A, B in side]) for side in sides)
+    with mp.workprec(precision_bits + 16):
+        diff = abs(left.log_value - right.log_value)
+        bound = left.tail_bound + right.tail_bound + _slack(precision_bits)
+    return TransformReport(
+        left=left,
+        right=right,
+        abs_log_diff=diff,
+        combined_bound=bound,
+        verdict=bool(diff <= bound),
+    )
+
+
+def _sides_tail(sides, N: int, convention: Convention):
+    """Sum of the factors' tail bounds over an N x N box, at 160 bits."""
     with mp.workprec(160):
-        return (
-            tail_bound(t.X, t.Y, N, N, convention)
-            + tail_bound(t.Y, t.X, N, N, convention)
-            + tail_bound(t.V, t.W, N, N, convention)
-            + tail_bound(t.W, t.V, N, N, convention)
-        )
+        return sum(tail_bound(A, B, N, N, convention) for side in sides for A, B in side)
 
 
 def _smallest_feasible_truncation(
-    t: TransformInstance, start: int, tol, budget: int, convention: Convention
+    sides, start: int, tol, budget: int, convention: Convention
 ) -> int | None:
     n = max(start, 1)
-    while estimated_points(4, n, n) <= budget:
-        if _quad_tail(t, n, convention) <= tol:
+    while estimated_points(sum(map(len, sides)), n, n) <= budget:
+        if _sides_tail(sides, n, convention) <= tol:
             return n
         n *= 2
     return None
@@ -275,14 +277,13 @@ def verify_quad_transform(
     feasible comparison whose evaluations exceed point_budget raises
     PointBudgetExceeded.
     """
-    if t.kind != "quad":
-        raise ValueError(f"expected a quad instance, got {t.kind}")
+    sides = _checked_sides(t, "quad", Nj, Nk, precision_bits)
     with mp.workprec(160):
         tol = _mpf_tol(tolerance)
-        requested_tail = _quad_tail(t, max(Nj, Nk), convention)
+        requested_tail = _sides_tail(sides, max(Nj, Nk), convention)
     if requested_tail > tol:
         feasible = _smallest_feasible_truncation(
-            t, max(Nj, Nk), tol, point_budget, convention
+            sides, max(Nj, Nk), tol, point_budget, convention
         )
         return TransformReport(
             left=None,
@@ -294,23 +295,7 @@ def verify_quad_transform(
             exact_verdict=closed_equality_check(t),
             feasible_truncation=feasible,
         )
-    check_point_budget(4, Nj, Nk, point_budget)
-    lx = eval_product(t.X, t.Y, Nj, Nk, precision_bits, convention, Form.DIRECT)
-    ly = eval_product(t.Y, t.X, Nj, Nk, precision_bits, convention, Form.DIRECT)
-    rv = eval_product(t.V, t.W, Nj, Nk, precision_bits, convention, Form.DIRECT)
-    rw = eval_product(t.W, t.V, Nj, Nk, precision_bits, convention, Form.DIRECT)
-    left = _combine(lx, ly)
-    right = _combine(rv, rw)
-    with mp.workprec(precision_bits + 16):
-        diff = abs(left.log_value - right.log_value)
-        bound = left.tail_bound + right.tail_bound + _slack(precision_bits)
-    return TransformReport(
-        left=left,
-        right=right,
-        abs_log_diff=diff,
-        combined_bound=bound,
-        verdict=bool(diff <= bound),
-    )
+    return _compare_sides(sides, Nj, Nk, precision_bits, convention, point_budget)
 
 
 def _mpf_tol(tolerance: Fraction):

@@ -29,6 +29,7 @@ from fractions import Fraction
 from mpmath import iv, mp
 
 from .errors import DomainViolation
+from .exact import check_precision, iv_precision
 
 # Extra working precision; results are returned carrying these guard bits so
 # that structural identities (axis = strict + one factor) hold bit-exactly.
@@ -60,18 +61,18 @@ class EvalReport:
     form: Form
 
 
-def _check_domain(X: Fraction, Y: Fraction) -> tuple[Fraction, Fraction]:
-    X, Y = Fraction(X), Fraction(Y)
-    if abs(X) >= 1:
-        raise DomainViolation(f"|X| must be < 1, got X = {X}")
-    if abs(Y) >= 1:
-        raise DomainViolation(f"|Y| must be < 1, got Y = {Y}")
-    return X, Y
+def check_unit(name: str, q: Fraction) -> Fraction:
+    """The product parameter q as a Fraction; refuses |q| >= 1, naming it."""
+    q = Fraction(q)
+    if abs(q) >= 1:
+        raise DomainViolation(f"|{name}| must be < 1, got {name} = {q}")
+    return q
 
 
-def _check_precision(precision_bits: int) -> None:
-    if precision_bits < 64:
-        raise ValueError(f"precision_bits must be >= 64, got {precision_bits}")
+def check_box(Nj: int, Nk: int) -> None:
+    """Refuse lattice boxes with a bound below 1."""
+    if Nj < 1 or Nk < 1:
+        raise ValueError(f"box bounds must be >= 1, got ({Nj}, {Nk})")
 
 
 def _mpf_q(q: Fraction):
@@ -83,8 +84,7 @@ def visible_points(Nj: int, Nk: int, convention: Convention = Convention.AXIS) -
 
     The axis convention prepends the single extra point (0, 1).
     """
-    if Nj < 1 or Nk < 1:
-        raise ValueError(f"box bounds must be >= 1, got ({Nj}, {Nk})")
+    check_box(Nj, Nk)
     pts = [(0, 1)] if convention is Convention.AXIS else []
     gcd = math.gcd
     for j in range(1, Nj + 1):
@@ -140,8 +140,8 @@ def closed_form(
     precision_bits: int = 256,
 ):
     """Closed-form value (1-Y)^e of the infinite product, e per convention/form."""
-    X, Y = _check_domain(X, Y)
-    _check_precision(precision_bits)
+    X, Y = check_unit("X", X), check_unit("Y", Y)
+    check_precision(precision_bits)
     e = _closed_form_exponent(X, convention, form)
     with mp.workprec(precision_bits + GUARD_BITS):
         return mp.exp(_mpf_q(e) * mp.log(1 - _mpf_q(Y)))
@@ -161,11 +161,10 @@ def tail_bound(
     K > Nk); the axis convention adds the K > Nk column at J = 0.  Evaluated
     with outward-rounded interval arithmetic, so the result is a true bound.
     """
-    X, Y = _check_domain(X, Y)
+    X, Y = check_unit("X", X), check_unit("Y", Y)
+    check_box(Nj, Nk)
     ax, ay = abs(X), abs(Y)
-    old = iv.prec
-    iv.prec = 128
-    try:
+    with iv_precision(128):
         xm = iv.mpf(ax.numerator) / iv.mpf(ax.denominator)
         ym = iv.mpf(ay.numerator) / iv.mpf(ay.denominator)
         one = iv.mpf(1)
@@ -176,8 +175,6 @@ def tail_bound(
             bound += col
         with mp.workprec(160):
             return mp.mpf(bound.b)
-    finally:
-        iv.prec = old
 
 
 def eval_product(
@@ -229,10 +226,9 @@ def eval_product(
     the 2^(-p+16) precision slack the transform verdicts allow.  X = 0 skips
     every column and gives log_value == 0 exactly in the strict convention.
     """
-    X, Y = _check_domain(X, Y)
-    if Nj < 1 or Nk < 1:
-        raise ValueError(f"box bounds must be >= 1, got ({Nj}, {Nk})")
-    _check_precision(precision_bits)
+    X, Y = check_unit("X", X), check_unit("Y", Y)
+    check_box(Nj, Nk)
+    check_precision(precision_bits)
     sign = 1 if form is Form.DIRECT else -1
     prec = precision_bits + GUARD_BITS
     extra = (Nj + Nk).bit_length() + math.ceil(1 / (1 - abs(X * Y))).bit_length() + 2
@@ -302,8 +298,8 @@ def log_double_series(
     coprimality enters, only plain powers, so agreement with eval_product
     cross-checks the visible-point regrouping numerically.
     """
-    X, Y = _check_domain(X, Y)
-    _check_precision(precision_bits)
+    X, Y = check_unit("X", X), check_unit("Y", Y)
+    check_precision(precision_bits)
     with mp.workprec(precision_bits + GUARD_BITS):
         xm, ym = _mpf_q(X), _mpf_q(Y)
         total = mp.mpf(0)

@@ -30,6 +30,25 @@ class TestParsing:
             with pytest.raises(ValueError):
                 parse_rational(bad)
 
+    def test_zero_denominator_is_value_error(self):
+        for bad in ("1/0", "-3/0", "0/0"):
+            with pytest.raises(ValueError, match="zero denominator"):
+                parse_rational(bad)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "1/0", "1", "1", "1"),
+            ("family", "2", "2", "--a", "1/0"),
+            ("vpv-eval", "1/0", "1/2"),
+            ("transform", "--abc", "1/0", "1", "1"),
+        ],
+    )
+    def test_zero_denominator_is_error_record(self, capsys, argv):
+        code, doc = run_json(capsys, *argv)
+        assert code == 1 and doc["status"] == "error"
+        assert "zero denominator" in doc["message"]
+
     def test_round_trip(self):
         rng = random.Random(3)
         for _ in range(100):
@@ -178,6 +197,21 @@ class TestTransform:
         assert r["exact_closed_equality"] is True
         assert r["numeric"]["warning"] == "infeasible-truncation"
         assert r["numeric"]["exact_verdict"] is True
+
+    @pytest.mark.parametrize(
+        "abc, flags, message",
+        [
+            (("8", "6", "2"), ("--precision", "10"), "precision_bits must be >= 64"),
+            (("3", "2", "1"), ("--precision", "10"), "precision_bits must be >= 64"),
+            (("3", "2", "1"), ("--truncation", "-1"), "box bounds must be >= 1"),
+            (("8", "6", "2"), ("--truncation", "0"), "box bounds must be >= 1"),
+        ],
+    )
+    def test_quad_inputs_checked_before_the_fallback(self, capsys, abc, flags, message):
+        # infeasible (8, 6, 2) used to skip these checks and return a warning
+        code, doc = run_json(capsys, "transform", "--abc", *abc, *flags)
+        assert code == 1 and doc["status"] == "error"
+        assert message in doc["message"]
 
     def test_requires_exactly_one_source(self, capsys):
         code, doc = run_json(capsys, "transform")

@@ -3,6 +3,8 @@ from decimal import Decimal, getcontext
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from xyyx.errors import NonIntegerValue, NonIntegralExponent, NonPositiveParameter
@@ -16,6 +18,21 @@ from xyyx.exact import (
 )
 
 PPP = PrimePowerProduct
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 97, 10007)
+
+
+def ppp_from(exps: dict) -> PrimePowerProduct:
+    return PPP(tuple(sorted((p, F(e)) for p, e in exps.items() if e != 0)))
+
+
+# Prime-power products with rational exponents, as {prime: exponent}.
+products = st.dictionaries(
+    st.sampled_from(SMALL_PRIMES),
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+    max_size=4,
+).map(ppp_from)
+exponents = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
 def multiply_back(pairs):
@@ -198,3 +215,33 @@ class TestDigitCount:
             digit_count(PPP(((2, F(-1)),)))
         with pytest.raises(NonIntegerValue):
             digit_count(PPP(((2, F(1, 2)),)))
+
+
+class TestAlgebraProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6))
+    def test_fraction_round_trip(self, q):
+        assert PPP.from_fraction(q).to_fraction() == q
+
+    @settings(max_examples=100, deadline=None)
+    @given(products, products, products)
+    def test_multiplication_is_an_abelian_group(self, a, b, c):
+        assert (a * b) * c == a * (b * c)
+        assert a * b == b * a
+        assert a * ONE == a
+        assert a * a**-1 == ONE
+
+    @settings(max_examples=100, deadline=None)
+    @given(products, products, exponents, exponents)
+    def test_power_laws(self, a, b, r, s):
+        assert (a**r) ** s == a ** (r * s)
+        assert (a * b) ** r == a**r * b**r
+        assert a**r * a**s == a ** (r + s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.sampled_from(SMALL_PRIMES), st.integers(0, 80), max_size=5))
+    def test_digit_count_matches_decimal_length(self, exps):
+        n = 1
+        for p, e in exps.items():
+            n *= p**e
+        assert digit_count(ppp_from(exps)) == len(str(n))

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from xyyx.errors import DegenerateParameters, NonPositiveParameter, NonRationalTuple
@@ -175,6 +177,18 @@ class TestNumericVerify:
             t = general_solution(F(a), F(b), F(c))
             ok, _ = numeric_verify(t, 192)
             assert ok, (a, b, c)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        *[st.fractions(min_value=F(1, 3), max_value=8, max_denominator=3)] * 3,
+        st.sampled_from([128, 192, 256]),
+    )
+    def test_general_solution_verifies(self, a, b, c, bits):
+        # |a - b - c + 1| >= 1/2 keeps x = (b^c c^b / a)^(1/(a-b-c+1)) moderate,
+        # so the residual's width stays below 2^(-bits/2)
+        if abs(a - b - c + 1) < F(1, 2):
+            return
+        assert numeric_verify(general_solution(a, b, c), bits).ok
 
     def test_counterexample_residual_excludes_zero(self):
         t = manual_tuple(F(2), F(3), F(2), F(4))

@@ -14,7 +14,7 @@ from xyyx.transforms import (
     verify_pair_transform,
     verify_quad_transform,
 )
-from xyyx.vpv import Convention
+from xyyx.vpv import Convention, Form, eval_product, tail_bound
 
 
 class TestPairFromEuler:
@@ -52,6 +52,10 @@ class TestQuadFromFamily:
         with pytest.raises(DomainViolation) as err:
             quad_from_family(F(2), F(1), F(1))
         assert "X" in str(err.value)
+
+    def test_domain_message_names_the_parameter(self):
+        with pytest.raises(DomainViolation, match=r"\|V\| must be < 1, got V = 1"):
+            manual_quad(F(1, 2), F(1, 2), F(1), F(1, 2))
 
     def test_irrational_family_rejected(self):
         with pytest.raises(NonRationalTuple):
@@ -112,6 +116,12 @@ class TestVerifyPairTransform:
         with pytest.raises(PointBudgetExceeded):
             verify_pair_transform(pair_from_euler(1), 150, 150, 256, point_budget=10**4)
 
+    def test_sides_are_the_eval_product_reports(self):
+        inst = pair_from_euler(2)
+        rep = verify_pair_transform(inst, 60, 50, 128, Convention.STRICT)
+        assert rep.left == eval_product(inst.X, inst.Y, 60, 50, 128, Convention.STRICT, Form.DIRECT)
+        assert rep.right == eval_product(inst.Y, inst.X, 60, 50, 128, Convention.STRICT, Form.DIRECT)
+
     def test_rejects_quad_instance(self):
         with pytest.raises(ValueError):
             verify_pair_transform(quad_from_family(F(3), F(2), F(1)))
@@ -135,6 +145,14 @@ class TestVerifyQuadTransform:
         assert rep.exact_verdict is True
         assert rep.feasible_truncation == 600  # doubling search from 300
 
+    def test_fallback_bound_sums_every_factor_tail(self):
+        inst = quad_from_family(F(4), F(2), F(2))
+        rep = verify_quad_transform(inst, 300, 300, 256)
+        X, Y, V, W = inst.parameters()
+        with mp.workprec(160):
+            tails = [tail_bound(A, B, 300, 300) for A, B in ((X, Y), (Y, X), (V, W), (W, V))]
+            assert rep.combined_bound == ((tails[0] + tails[1]) + tails[2]) + tails[3]
+
     def test_8_6_2_infeasible_with_exact_fallback(self):
         rep = verify_quad_transform(quad_from_family(F(8), F(6), F(2)), 1000, 1000, 256)
         assert rep.warning == "infeasible-truncation"
@@ -148,6 +166,24 @@ class TestVerifyQuadTransform:
             verify_quad_transform(
                 quad_from_family(F(3), F(2), F(1)), 200, 200, 256, point_budget=10**4
             )
+
+    def test_side_is_the_sum_of_its_factors(self):
+        inst = quad_from_family(F(3), F(2), F(1))
+        rep = verify_quad_transform(inst, 60, 60, 192)
+        lx = eval_product(inst.X, inst.Y, 60, 60, 192)
+        ly = eval_product(inst.Y, inst.X, 60, 60, 192)
+        rv = eval_product(inst.V, inst.W, 60, 60, 192)
+        rw = eval_product(inst.W, inst.V, 60, 60, 192)
+        with mp.workprec(192 + 16):
+            assert rep.left.log_value == lx.log_value + ly.log_value
+            assert rep.right.log_value == rv.log_value + rw.log_value
+            assert rep.left.tail_bound == lx.tail_bound + ly.tail_bound
+
+    @pytest.mark.parametrize("precision_bits, N", [(10, 100), (256, 0), (256, -1)])
+    def test_inputs_checked_before_the_tail_gate(self, precision_bits, N):
+        # (8, 6, 2) is infeasible at any N here, so a missing check would fall back
+        with pytest.raises(ValueError):
+            verify_quad_transform(quad_from_family(F(8), F(6), F(2)), N, N, precision_bits)
 
     def test_bad_quad_still_reports_false_exact_verdict(self):
         inst = manual_quad(F(1, 2), F(3, 4), F(1, 2), F(1, 2))

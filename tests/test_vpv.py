@@ -267,6 +267,11 @@ class TestTailBound:
         assert b < mp.mpf("1e-30")
         assert b > 0
 
+    def test_rejects_bad_box(self):
+        for Nj, Nk in ((0, 5), (5, 0), (-1, -1)):
+            with pytest.raises(ValueError, match="box bounds"):
+                tail_bound(F(1, 2), F(1, 2), Nj, Nk)
+
     def test_monotone_in_truncation(self):
         prev = None
         for n in (10, 20, 40, 80, 160):
