@@ -155,8 +155,10 @@ def numeric_verify(t: SolutionTuple, precision_bits: int = 256) -> NumericVerdic
     """Interval check of |log(x^y y^x) - log(v^w w^v)| at the given precision.
 
     True when the residual interval contains 0 and is narrower than
-    2^(-precision_bits/2).  Works for irrational tuples, where the exact
-    exponent-vector comparison does not apply.
+    2^(-precision_bits/2) * max(1, |y log x + x log y|), a cut relative to the
+    size of the logs that cancel, so large x, y, v, w do not fail at low
+    precision.  Works for irrational tuples, where the exact exponent-vector
+    comparison does not apply.
     """
     check_precision(precision_bits)
     with iv_precision(precision_bits):
@@ -164,10 +166,12 @@ def numeric_verify(t: SolutionTuple, precision_bits: int = 256) -> NumericVerdic
         vals = [iv.exp(lg) for lg in logs]
         lx, ly, lv, lw = logs
         x, y, v, w = vals
-        residual = (y * lx + x * ly) - (w * lv + v * lw)
+        left = y * lx + x * ly
+        residual = left - (w * lv + v * lw)
         with mp.workprec(precision_bits + 8):
             width = mp.mpf(residual.delta.b)
-            ok = (0 in residual) and width < mp.ldexp(1, -(precision_bits // 2))
+            scale = max(1, mp.mpf(abs(left).b))
+            ok = (0 in residual) and width < mp.ldexp(scale, -(precision_bits // 2))
         return NumericVerdict(ok, residual)
 
 

@@ -1,15 +1,15 @@
 """Product-identity transforms built from solution tuples.
 
-A solution x^y = y^x maps to product parameters via x = 1/(1-X), y = 1/(1-Y);
-a four-value solution maps via X = (x-1)/x, Y = (ax-1)/(ax), V = (bx-1)/(bx),
-W = (cx-1)/(cx).  Each instance carries the underlying scalar equality as
-prime-power products, so the exact identity is checkable independently of any
-numerics.
+Every solution value x becomes a product parameter in (-1, 1) through
+X = (x-1)/x.  An instance holds only these parameters; its scalar identity,
+x^y = y^x or x^y y^x = v^w w^v as prime-power products, is rebuilt from them
+through the inverse x = 1/(1-X), so the exact identity is checkable
+independently of any numerics.
 
 Both identities compare two sides, each a product of direct products F(A, B):
 F(X, Y) against F(Y, X) for a pair, F(X, Y) F(Y, X) against F(V, W) F(W, V)
 for a quad.  One path verifies both; a quad first checks that its summed
-tail bound can reach the tolerance.
+tail bound can reach the fixed TOLERANCE of 1e-8.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import reduce
 
 from mpmath import mp
 
-from .errors import NonPositiveParameter, PointBudgetExceeded
+from .errors import PointBudgetExceeded
 from .exact import check_precision
 from .solutions import (
     ScalarIdentity,
@@ -32,7 +32,7 @@ from .solutions import (
 )
 from .vpv import Convention, EvalReport, Form, check_box, check_unit, eval_product, tail_bound
 
-DEFAULT_TOLERANCE = Fraction(1, 10**8)
+TOLERANCE = Fraction(1, 10**8)
 DEFAULT_POINT_BUDGET = 10**7
 
 
@@ -45,9 +45,7 @@ class TransformInstance:
     Y: Fraction
     V: Fraction | None = None
     W: Fraction | None = None
-    source: str = "manual"  # "euler" | "family" | "manual"
-    params: tuple[Fraction, ...] = ()
-    scalar_identity: ScalarIdentity | None = None
+    params: tuple[Fraction, ...] = ()  # the generating n, or a, b, c
 
     def parameters(self) -> tuple[Fraction, ...]:
         if self.kind == "pair":
@@ -61,12 +59,20 @@ class TransformInstance:
             return [(X, Y)], [(Y, X)]
         return [(X, Y), (Y, X)], [(V, W), (W, V)]
 
+    @property
+    def scalar_identity(self) -> ScalarIdentity:
+        """The scalar identity behind the parameters, rebuilt on every access."""
+        values = [1 / (1 - q) for q in self.parameters()]
+        if self.kind == "pair":
+            return pair_identity(*values)
+        return quad_identity(manual_tuple(*values))
+
 
 @dataclass(frozen=True)
 class TransformReport:
     """Outcome of comparing both sides of a product identity numerically.
 
-    When the truncation cannot reach the comparison tolerance, warning is set
+    When the truncation cannot reach the quad TOLERANCE, warning is set
     to "infeasible-truncation", the product evaluations are skipped and
     exact_verdict carries the scalar-identity check instead.
     """
@@ -81,36 +87,24 @@ class TransformReport:
     feasible_truncation: int | None = None
 
 
-def _identity_from_parameters(kind: str, params: tuple[Fraction, ...]) -> ScalarIdentity:
-    """The scalar identity behind product parameters, via x = 1/(1-X)."""
-    values = [1 / (1 - q) for q in params]
-    if kind == "pair":
-        return pair_identity(*values)
-    return quad_identity(manual_tuple(*values))
+def _instance(params, generators: tuple[Fraction, ...] = ()) -> TransformInstance:
+    """A pair or quad instance over params, each checked to lie in (-1, 1)."""
+    checked = [check_unit(name, q) for name, q in zip("XYVW", params)]
+    return TransformInstance("pair" if len(checked) == 2 else "quad", *checked, params=generators)
+
+
+def _from_solution(values, generators: tuple[Fraction, ...]) -> TransformInstance:
+    """The instance of a solution, one parameter per solution value."""
+    return _instance([(x - 1) / x for x in values], generators)
 
 
 def pair_from_euler(n: int) -> TransformInstance:
     """Pair instance X = 1-(n/(n+1))^n, Y = 1-(n/(n+1))^(n+1); both in (0, 1)."""
-    x, y = euler_solution(n)  # validates n
-    X, Y = 1 - 1 / x, 1 - 1 / y
-    return TransformInstance(
-        kind="pair",
-        X=X,
-        Y=Y,
-        source="euler",
-        params=(Fraction(n),),
-        scalar_identity=pair_identity(x, y),
-    )
+    return _from_solution(euler_solution(n), (Fraction(n),))  # validates n
 
 
 def manual_pair(X: Fraction, Y: Fraction) -> TransformInstance:
-    X, Y = check_unit("X", X), check_unit("Y", Y)
-    return TransformInstance(
-        kind="pair",
-        X=X,
-        Y=Y,
-        scalar_identity=_identity_from_parameters("pair", (X, Y)),
-    )
+    return _instance((X, Y))
 
 
 def quad_from_family(a: Fraction, b: Fraction, c: Fraction) -> TransformInstance:
@@ -120,30 +114,16 @@ def quad_from_family(a: Fraction, b: Fraction, c: Fraction) -> TransformInstance
     above 1/2, so that each mapped parameter lands inside (-1, 1).
     """
     t = general_solution(a, b, c)
-    X, Y, V, W = (check_unit(n, (q - 1) / q) for n, q in zip("XYVW", t.as_fractions()))
-    return TransformInstance(
-        kind="quad",
-        X=X,
-        Y=Y,
-        V=V,
-        W=W,
-        source="family",
-        params=tuple(Fraction(q) for q in (a, b, c)),
-        scalar_identity=quad_identity(t),
-    )
+    return _from_solution(t.as_fractions(), tuple(Fraction(q) for q in (a, b, c)))
 
 
 def manual_quad(X: Fraction, Y: Fraction, V: Fraction, W: Fraction) -> TransformInstance:
-    params = tuple(check_unit(n, q) for n, q in zip("XYVW", (X, Y, V, W)))
-    X, Y, V, W = params
-    return TransformInstance(
-        kind="quad", X=X, Y=Y, V=V, W=W, scalar_identity=_identity_from_parameters("quad", params)
-    )
+    return _instance((X, Y, V, W))
 
 
 def closed_equality_check(t: TransformInstance) -> bool:
     """Exact closed-form equality behind the instance, recomputed from scratch."""
-    return _identity_from_parameters(t.kind, t.parameters()).holds
+    return t.scalar_identity.holds
 
 
 def estimated_points(evaluations: int, Nj: int, Nk: int) -> int:
@@ -246,60 +226,47 @@ def _sides_tail(sides, N: int, convention: Convention):
         return sum(tail_bound(A, B, N, N, convention) for side in sides for A, B in side)
 
 
-def _smallest_feasible_truncation(
-    sides, start: int, tol, budget: int, convention: Convention
-) -> int | None:
-    n = max(start, 1)
-    while estimated_points(sum(map(len, sides)), n, n) <= budget:
-        if _sides_tail(sides, n, convention) <= tol:
-            return n
-        n *= 2
-    return None
-
-
 def verify_quad_transform(
     t: TransformInstance,
     Nj: int = 400,
     Nk: int = 400,
     precision_bits: int = 256,
     convention: Convention = Convention.AXIS,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
     point_budget: int = DEFAULT_POINT_BUDGET,
 ) -> TransformReport:
     """Compare both sides of the four-parameter product identity.
 
     Each side is the product of two evaluations with swapped arguments.  When
-    the combined tail bound at the requested truncation exceeds tolerance the
-    numeric comparison would be vacuous (and, for parameters like 2303/2304,
-    astronomically expensive), so the report flags infeasible-truncation and
-    carries the exact scalar verdict instead, with the smallest doubling of
-    the truncation whose four evaluations fit point_budget, if any.  A
-    feasible comparison whose evaluations exceed point_budget raises
-    PointBudgetExceeded.
+    the combined tail bound at the requested truncation exceeds the fixed
+    TOLERANCE the numeric comparison would be vacuous (and, for parameters
+    like 2303/2304, astronomically expensive), so the report flags
+    infeasible-truncation and carries the exact scalar verdict instead, with
+    the smallest doubling of the truncation whose four evaluations fit
+    point_budget, if any.  A feasible comparison whose evaluations exceed
+    point_budget raises PointBudgetExceeded.
     """
     sides = _checked_sides(t, "quad", Nj, Nk, precision_bits)
+    N = max(Nj, Nk)
     with mp.workprec(160):
-        tol = _mpf_tol(tolerance)
-        requested_tail = _sides_tail(sides, max(Nj, Nk), convention)
-    if requested_tail > tol:
-        feasible = _smallest_feasible_truncation(
-            sides, max(Nj, Nk), tol, point_budget, convention
-        )
-        return TransformReport(
-            left=None,
-            right=None,
-            abs_log_diff=None,
-            combined_bound=requested_tail,
-            verdict=None,
-            warning="infeasible-truncation",
-            exact_verdict=closed_equality_check(t),
-            feasible_truncation=feasible,
-        )
-    return _compare_sides(sides, Nj, Nk, precision_bits, convention, point_budget)
-
-
-def _mpf_tol(tolerance: Fraction):
-    tolerance = Fraction(tolerance)
-    if tolerance <= 0:
-        raise NonPositiveParameter(f"tolerance must be positive, got {tolerance}")
-    return mp.mpf(tolerance.numerator) / mp.mpf(tolerance.denominator)
+        tol = mp.mpf(TOLERANCE.numerator) / TOLERANCE.denominator
+        requested_tail = _sides_tail(sides, N, convention)
+    if requested_tail <= tol:
+        return _compare_sides(sides, Nj, Nk, precision_bits, convention, point_budget)
+    # the tails at N are above tol already, so the doubling starts at 2N
+    feasible = 2 * N
+    while estimated_points(sum(map(len, sides)), feasible, feasible) <= point_budget:
+        if _sides_tail(sides, feasible, convention) <= tol:
+            break
+        feasible *= 2
+    else:
+        feasible = None
+    return TransformReport(
+        left=None,
+        right=None,
+        abs_log_diff=None,
+        combined_bound=requested_tail,
+        verdict=None,
+        warning="infeasible-truncation",
+        exact_verdict=closed_equality_check(t),
+        feasible_truncation=feasible,
+    )

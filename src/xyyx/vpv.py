@@ -118,8 +118,7 @@ def mobius_sieve(n: int) -> list[int]:
 
 def count_visible(N: int) -> int:
     """Number of coprime pairs in [1,N]^2 via sum_d mu(d) * floor(N/d)^2."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    check_box(N, N)
     mu = mobius_sieve(N)
     return sum(mu[d] * (N // d) ** 2 for d in range(1, N + 1) if mu[d])
 

@@ -190,6 +190,30 @@ class TestNumericVerify:
             return
         assert numeric_verify(general_solution(a, b, c), bits).ok
 
+    @pytest.mark.parametrize(
+        "a, b, c", [(F(26, 3), 4, 5), (F(23, 3), 3, 5), (F(23, 3), 4, 4), (F(23, 3), 5, 3)]
+    )
+    def test_large_solutions_verify_at_64_bits(self, a, b, c):
+        # x^y is about e^(3.3e9) for (26/3, 4, 5): the residual's width grows
+        # with the logs that cancel, so an absolute cut rejected it
+        ok, residual = numeric_verify(general_solution(a, b, c), 64)
+        assert ok
+        assert 0 in residual
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_near_degenerate_family_verifies(self, bits):
+        # a - b - c + 1 = 1/100, so x = (2^3 3^2 / a)^100 is huge
+        assert numeric_verify(general_solution(F(401, 100), F(2), F(3)), bits).ok
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_counterexample_stays_unverified(self, bits):
+        assert not numeric_verify(manual_tuple(F(2), F(3), F(2), F(4)), bits).ok
+
+    def test_tiny_perturbation_of_a_solution_rejected(self):
+        x, y, v, w = FAMILY_TABLE[(6, 2)]
+        assert numeric_verify(manual_tuple(x, y, v, w), 256).ok
+        assert not numeric_verify(manual_tuple(x, y, v, w * (1 + F(1, 10**30))), 256).ok
+
     def test_counterexample_residual_excludes_zero(self):
         t = manual_tuple(F(2), F(3), F(2), F(4))
         ok, residual = numeric_verify(t, 128)

@@ -4,9 +4,11 @@ import pytest
 from mpmath import mp
 
 from xyyx.errors import DomainViolation, NonRationalTuple, PointBudgetExceeded
-from xyyx.solutions import euler_solution
+from xyyx.solutions import euler_solution, general_solution, pair_identity, quad_identity
 from xyyx.transforms import (
+    TransformInstance,
     closed_equality_check,
+    estimated_points,
     manual_pair,
     manual_quad,
     pair_from_euler,
@@ -35,6 +37,11 @@ class TestPairFromEuler:
             inst = pair_from_euler(n)
             assert inst.scalar_identity.holds
             assert closed_equality_check(inst)
+
+    def test_scalar_identity_is_the_solution_identity(self):
+        # rebuilt from X, Y through x = 1/(1-X), it equals the identity of (x, y)
+        for n in range(1, 21):
+            assert pair_from_euler(n).scalar_identity == pair_identity(*euler_solution(n))
 
 
 class TestQuadFromFamily:
@@ -67,6 +74,15 @@ class TestQuadFromFamily:
             x = 1 / (1 - inst.X)
             assert (x - 1) / x == inst.X
             assert inst.params == (F(a), F(b), F(c))
+
+    @pytest.mark.parametrize("abc", [(3, 2, 1), (4, 2, 2), (5, 3, 2), (8, 6, 2), (9, 6, 3)])
+    def test_scalar_identity_is_the_solution_identity(self, abc):
+        a, b, c = map(F, abc)
+        assert quad_from_family(a, b, c).scalar_identity == quad_identity(general_solution(a, b, c))
+
+    def test_instance_holds_only_parameters(self):
+        fields = TransformInstance.__dataclass_fields__
+        assert set(fields) == {"kind", "X", "Y", "V", "W", "params"}
 
 
 class TestClosedEqualityCheck:
@@ -189,6 +205,38 @@ class TestVerifyQuadTransform:
         inst = manual_quad(F(1, 2), F(3, 4), F(1, 2), F(1, 2))
         rep = verify_quad_transform(inst, 150, 150, 256)
         assert rep.verdict is False
+
+    def test_feasible_truncation_matches_doubling_from_N(self):
+        with mp.workprec(160):
+            tol = mp.mpf(1) / 10**8
+
+        def tails(inst, n):
+            X, Y, V, W = inst.parameters()
+            with mp.workprec(160):
+                return sum(tail_bound(A, B, n, n) for A, B in ((X, Y), (Y, X), (V, W), (W, V)))
+
+        def reference(inst, N, budget):
+            # the smallest of N, 2N, 4N, ... within the budget whose tails reach tol
+            n = N
+            while estimated_points(4, n, n) <= budget:
+                if tails(inst, n) <= tol:
+                    return n
+                n *= 2
+            return None
+
+        found = []
+        for abc in ((4, 2, 2), (5, 3, 2), (8, 6, 2), (9, 6, 3)):
+            inst = quad_from_family(*map(F, abc))
+            for N in (1, 3, 50, 301, 1000):
+                if tails(inst, N) <= tol:
+                    continue  # feasible at N: a numeric comparison, not a search
+                # 10 stops the search at once for N >= 3, and 10**4 for N = 301
+                for budget in (10, 10**4, 3 * 10**5, 10**6, 10**8):
+                    rep = verify_quad_transform(inst, N, N, 256, point_budget=budget)
+                    assert rep.warning == "infeasible-truncation"
+                    assert rep.feasible_truncation == reference(inst, N, budget), (abc, N, budget)
+                    found.append(rep.feasible_truncation)
+        assert None in found and len(set(found)) > 4
 
     def test_combined_bound_shrinks_with_truncation(self):
         inst = quad_from_family(F(4), F(2), F(2))

@@ -61,6 +61,10 @@ class TestCountVisible:
         for n in list(range(1, 61)) + [100, 250, 500]:
             assert count_visible(n) == len(visible_points(n, n, STRICT)), n
 
+    def test_rejects_empty_box(self):
+        with pytest.raises(ValueError, match="box bounds must be >= 1"):
+            count_visible(0)
+
     def test_mobius_sieve_small(self):
         assert mobius_sieve(10)[1:] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
