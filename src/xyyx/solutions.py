@@ -20,17 +20,15 @@ from .exact import ONE, PrimePowerProduct, check_precision, iv_precision, log_in
 
 @dataclass(frozen=True)
 class SolutionTuple:
-    """One solution (x, y, v, w) of x^y y^x = v^w w^v with its provenance.
+    """One solution (x, y, v, w) of x^y y^x = v^w w^v.
 
-    provenance is one of "euler", "general", "family", "manual"; params holds
-    the generating parameters (n, or a/b/c) when applicable.
+    params holds the generating parameters (a, b, c or b, c) when applicable.
     """
 
     x: PrimePowerProduct
     y: PrimePowerProduct
     v: PrimePowerProduct
     w: PrimePowerProduct
-    provenance: str = "manual"
     params: tuple[Fraction, ...] = ()
 
     def values(self) -> tuple[PrimePowerProduct, PrimePowerProduct, PrimePowerProduct, PrimePowerProduct]:
@@ -90,9 +88,6 @@ def euler_solution(n: int) -> tuple[Fraction, Fraction]:
 
 def verify_power_equation(x: Fraction, y: Fraction) -> bool:
     """Exact check of x^y = y^x for positive rationals, via exponent vectors."""
-    x, y = Fraction(x), Fraction(y)
-    if x <= 0 or y <= 0:
-        raise NonPositiveParameter(f"arguments must be positive, got ({x}, {y})")
     return pair_identity(x, y).holds
 
 
@@ -114,7 +109,7 @@ def general_solution(a: Fraction, b: Fraction, c: Fraction) -> SolutionTuple:
     vc = PrimePowerProduct.from_fraction(c)
     base = vb**c * vc**b * va**-1
     x = base ** (1 / (a - b - c + 1))
-    return SolutionTuple(x, va * x, vb * x, vc * x, provenance="general", params=(a, b, c))
+    return SolutionTuple(x, va * x, vb * x, vc * x, params=(a, b, c))
 
 
 def rational_family(b: int, c: int) -> SolutionTuple:
@@ -125,7 +120,7 @@ def rational_family(b: int, c: int) -> SolutionTuple:
     vc = PrimePowerProduct.from_int(c)
     y = vb**c * vc**b
     x = y * PrimePowerProduct.from_int(b + c) ** -1
-    return SolutionTuple(x, y, vb * x, vc * x, provenance="family", params=(Fraction(b), Fraction(c)))
+    return SolutionTuple(x, y, vb * x, vc * x, params=(Fraction(b), Fraction(c)))
 
 
 def verify_product_equation(t: SolutionTuple) -> bool:
@@ -135,15 +130,12 @@ def verify_product_equation(t: SolutionTuple) -> bool:
 
 def verify_fractions(x: Fraction, y: Fraction, v: Fraction, w: Fraction) -> bool:
     """Convenience wrapper: exact verification of four positive rationals."""
-    vals = [Fraction(q) for q in (x, y, v, w)]
-    if any(q <= 0 for q in vals):
-        raise NonPositiveParameter(f"values must be positive, got {vals}")
-    return verify_product_equation(manual_tuple(*vals))
+    return verify_product_equation(manual_tuple(x, y, v, w))
 
 
 def manual_tuple(x: Fraction, y: Fraction, v: Fraction, w: Fraction) -> SolutionTuple:
     f = PrimePowerProduct.from_fraction
-    return SolutionTuple(f(x), f(y), f(v), f(w), provenance="manual")
+    return SolutionTuple(f(x), f(y), f(v), f(w))
 
 
 class NumericVerdict(NamedTuple):

@@ -5,7 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from xyyx.cli import main, mpf_hex, parse_rational, render_fraction
+from xyyx.cli import build_parser, main, mpf_hex, parse_rational, render_fraction
+
+# 10000000000000000051 * 30000000000000000041: rho would need ~10^10 steps
+HARD_SEMIPRIME = "300000000000000001940000000000000002091"
 
 
 def run(capsys, *argv):
@@ -127,6 +130,14 @@ class TestVerify:
         # "--" keeps argparse from reading the leading minus as a flag
         code, doc = run_json(capsys, "verify", "--", "-1/2", "2", "3", "4")
         assert code == 1 and doc["status"] == "error"
+        assert doc["message"] == "value must be positive, got -1/2"
+
+    def test_unfactorable_input_is_error_record(self, capsys):
+        t0 = time.perf_counter()
+        code, doc = run_json(capsys, "verify", HARD_SEMIPRIME, "1", "1", HARD_SEMIPRIME)
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 1 and doc["status"] == "error"
+        assert f"no factor of {HARD_SEMIPRIME}" in doc["message"]
 
 
 class TestDigits:
@@ -277,9 +288,22 @@ class TestOutputModes:
 
     def test_bad_env_precision_is_error_record(self, capsys, monkeypatch):
         monkeypatch.setenv("VPV_PRECISION_BITS", "abc")
-        code, doc = run_json(capsys, "euler", "2")
+        code, doc = run_json(capsys, "vpv-eval", "1/10", "1/5", "--truncation", "20")
         assert code == 1 and doc["status"] == "error"
         assert "VPV_PRECISION_BITS" in doc["message"]
+
+    def test_exact_commands_do_not_read_env_precision(self, capsys, monkeypatch):
+        monkeypatch.setenv("VPV_PRECISION_BITS", "abc")
+        for argv in (("euler", "2"), ("verify", "2", "4", "4", "2"), ("search", "2", "2")):
+            code, doc = run_json(capsys, *argv)
+            assert code == 0 and doc["status"] == "ok"
+
+    def test_env_precision_read_on_every_call(self, capsys, monkeypatch):
+        # the parser is built once; the environment must not be captured in it
+        for bits in (128, 192):
+            monkeypatch.setenv("VPV_PRECISION_BITS", str(bits))
+            _, doc = run_json(capsys, "vpv-eval", "1/10", "1/5", "--truncation", "20")
+            assert doc["results"]["precision_bits"] == bits
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("VPV_PRECISION_BITS", "128")
@@ -287,3 +311,35 @@ class TestOutputModes:
             capsys, "vpv-eval", "1/10", "1/5", "--truncation", "20", "--precision", "192"
         )
         assert doc["results"]["precision_bits"] == 192
+
+
+EXACT_COMMANDS = [("euler", "2"), ("verify", "1", "1", "1", "1"), ("search", "2", "2")]
+NUMERIC_COMMANDS = [("family", "2", "2"), ("digits", "2", "2")]
+PRECISION = ("--precision", "64")
+LATTICE = [("--truncation", "5"), ("--convention", "axis")]
+
+
+class TestSubcommandFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [cmd + flag for cmd in EXACT_COMMANDS for flag in [PRECISION, *LATTICE]]
+        + [cmd + flag for cmd in NUMERIC_COMMANDS for flag in LATTICE],
+    )
+    def test_flag_not_read_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("vpv-eval", "1/10", "1/5"), ("transform", "--n", "1")])
+    def test_product_commands_take_all_three(self, capsys, argv):
+        code, doc = run_json(
+            capsys, *argv, "--precision", "128", "--truncation", "20", "--convention", "axis"
+        )
+        assert code == 0 and doc["status"] == "ok"
+        assert doc["inputs"]["precision_bits"] == 128
+        assert doc["inputs"]["truncation"] == 20
+        assert doc["inputs"]["convention"] == "axis"
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()

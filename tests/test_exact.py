@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from xyyx.errors import NonIntegerValue, NonIntegralExponent, NonPositiveParameter
+from xyyx.errors import (
+    FactorizationBudgetExceeded,
+    NonIntegerValue,
+    NonIntegralExponent,
+    NonPositiveParameter,
+)
 from xyyx.exact import (
     ONE,
     PrimePowerProduct,
@@ -80,6 +85,17 @@ class TestFactorize:
     def test_prime_power_beyond_trial_division(self):
         n = 1000003**2
         assert factorize(n) == [(1000003, 2)]
+
+    def test_ten_digit_primes_split_within_the_rho_budget(self):
+        assert factorize(9999999929 * 9999999943) == [(9999999929, 1), (9999999943, 1)]
+
+    def test_rho_budget_names_the_unsplit_composite(self):
+        n = 10000000000000000051 * 30000000000000000041
+        with pytest.raises(FactorizationBudgetExceeded, match=f"no factor of {n} "):
+            factorize(n)
+        # the budget is per call: a cofactor times small primes fails the same way
+        with pytest.raises(FactorizationBudgetExceeded, match=f"no factor of {n} "):
+            factorize(12 * n)
 
 
 class TestPrimePowerProduct:

@@ -149,6 +149,14 @@ class TestVerifyProductEquation:
     def test_counterexample(self):
         assert verify_fractions(F(2), F(3), F(2), F(4)) is False
 
+    def test_rejects_nonpositive(self):
+        # one check, in PrimePowerProduct.from_fraction, for every exact input
+        for vals in ((F(-1, 2), F(2), F(3), F(4)), (F(2), F(3), F(4), F(0))):
+            with pytest.raises(NonPositiveParameter, match="value must be positive, got"):
+                verify_fractions(*vals)
+        with pytest.raises(NonPositiveParameter, match="value must be positive, got -1/2"):
+            verify_power_equation(F(4), F(-1, 2))
+
     def test_symmetry_invariances(self):
         rng = random.Random(17)
         for _ in range(40):
