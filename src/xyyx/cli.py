@@ -6,7 +6,10 @@ vpv-eval and transform, the four that use a working precision;
 --truncation N and --convention axis|strict go with vpv-eval and transform,
 the two that evaluate products.  euler, verify and search are exact and take
 no numeric flags; a flag a subcommand does not take is a usage error (exit
-code 2).
+code 2).  The product commands refuse a box whose evaluations would
+enumerate more than the fixed budget of 10^7 lattice points; a transform
+whose tails cannot reach its tolerance gets status "warning" and the exact
+verdict instead of a numeric one.
 
 Every command emits a result record {command, inputs, results, status,
 message}; --json prints it as a single JSON document, otherwise as aligned
@@ -44,9 +47,7 @@ from .solutions import (
     verify_product_equation,
 )
 from .transforms import (
-    DEFAULT_POINT_BUDGET,
     check_point_budget,
-    closed_equality_check,
     pair_from_euler,
     quad_from_family,
     verify_pair_transform,
@@ -123,8 +124,9 @@ def _flat(prefix: str, value, lines: list[str]) -> None:
 
 
 def emit(result: dict, as_json: bool) -> int:
+    """Print the record; exit code 1 for an error record or a closed stdout."""
     if as_json:
-        print(json.dumps(result, indent=2))
+        text = json.dumps(result, indent=2)
     else:
         lines: list[str] = [f"command: {result['command']}  [{result['status']}]"]
         if result["message"]:
@@ -132,7 +134,16 @@ def emit(result: dict, as_json: bool) -> int:
         for k, v in result["inputs"].items():
             lines.append(f"  input {k} = {v}")
         _flat("", {k: v for k, v in result["results"].items()}, lines)
-        print("\n".join(lines))
+        text = "\n".join(lines)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return 0 if result["status"] != "error" else 1
 
 
@@ -227,7 +238,7 @@ def cmd_digits(args) -> dict:
 def cmd_vpv_eval(args) -> dict:
     X = parse_rational(args.X)
     Y = parse_rational(args.Y)
-    check_point_budget(1, args.truncation, args.truncation, DEFAULT_POINT_BUDGET)
+    check_point_budget(1, args.truncation)
     report = eval_product(
         X,
         Y,
@@ -269,37 +280,25 @@ def cmd_transform(args) -> dict:
     has_abc = args.abc is not None
     if has_n == has_abc:
         raise ValueError("give exactly one source: --n N or --abc A B C")
-    convention = Convention(args.convention)
-    status, message = "ok", ""
     if has_n:
         inst = pair_from_euler(args.n)
         inputs = {"n": args.n}
-        report = verify_pair_transform(
-            inst,
-            args.truncation,
-            args.truncation,
-            args.precision,
-            convention,
-            point_budget=args.point_budget,
-        )
+        verify = verify_pair_transform
     else:
         a, b, c = (parse_rational(s) for s in args.abc)
         inst = quad_from_family(a, b, c)
         inputs = {"a": render_fraction(a), "b": render_fraction(b), "c": render_fraction(c)}
-        report = verify_quad_transform(
-            inst,
-            args.truncation,
-            args.truncation,
-            args.precision,
-            convention,
-            point_budget=args.point_budget,
+        verify = verify_quad_transform
+    report = verify(
+        inst, args.truncation, precision_bits=args.precision, convention=Convention(args.convention)
+    )
+    status, message = "ok", ""
+    if report.warning is not None:
+        status = "warning"
+        message = (
+            "tail bound cannot reach tolerance at this truncation; "
+            "falling back to the exact scalar identity"
         )
-        if report.warning is not None:
-            status = "warning"
-            message = (
-                "tail bound cannot reach tolerance at this truncation; "
-                "falling back to the exact scalar identity"
-            )
     inputs.update(
         {
             "truncation": args.truncation,
@@ -312,7 +311,7 @@ def cmd_transform(args) -> dict:
         "parameters": {
             name: render_fraction(q) for name, q in zip("XYVW", inst.parameters())
         },
-        "exact_closed_equality": closed_equality_check(inst),
+        "exact_closed_equality": report.exact_verdict,
         "numeric": _transform_payload(report, args.precision),
     }
     return _result("transform", inputs, results, status, message)
@@ -425,9 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="pair instance from the n-th solution")
     p.add_argument("--abc", nargs=3, default=None, metavar=("A", "B", "C"),
                    help="quad instance from family parameters")
-    p.add_argument("--point-budget", type=int, default=DEFAULT_POINT_BUDGET,
-                   help="lattice-point budget for the product evaluations "
-                   "(default %(default)s)")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("search", parents=[json_flag], help="all-integer family tuples in a range")

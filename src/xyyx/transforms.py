@@ -8,13 +8,16 @@ independently of any numerics.
 
 Both identities compare two sides, each a product of direct products F(A, B):
 F(X, Y) against F(Y, X) for a pair, F(X, Y) F(Y, X) against F(V, W) F(W, V)
-for a quad.  One path verifies both; a quad first checks that its summed
-tail bound can reach the fixed TOLERANCE of 1e-8.
+for a quad.  One path verifies both, on one N x N box; a quad first checks
+that its summed tail bound at N reaches the fixed TOLERANCE of 1e-8, and
+falls back to the exact identity if not.  A comparison whose evaluations
+would enumerate more than the fixed POINT_BUDGET of 10^7 lattice points is
+refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 
@@ -33,7 +36,7 @@ from .solutions import (
 from .vpv import Convention, EvalReport, Form, check_box, check_unit, eval_product, tail_bound
 
 TOLERANCE = Fraction(1, 10**8)
-DEFAULT_POINT_BUDGET = 10**7
+POINT_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,6 @@ class TransformInstance:
     Y: Fraction
     V: Fraction | None = None
     W: Fraction | None = None
-    params: tuple[Fraction, ...] = ()  # the generating n, or a, b, c
 
     def parameters(self) -> tuple[Fraction, ...]:
         if self.kind == "pair":
@@ -72,9 +74,11 @@ class TransformInstance:
 class TransformReport:
     """Outcome of comparing both sides of a product identity numerically.
 
-    When the truncation cannot reach the quad TOLERANCE, warning is set
-    to "infeasible-truncation", the product evaluations are skipped and
-    exact_verdict carries the scalar-identity check instead.
+    exact_verdict is the scalar-identity check, made on every request.  When
+    the truncation cannot reach the quad TOLERANCE, warning is set to
+    "infeasible-truncation", the product evaluations are skipped,
+    combined_bound is the summed tail bound and exact_verdict stands in for
+    the numeric verdict.
     """
 
     left: EvalReport | None
@@ -87,20 +91,20 @@ class TransformReport:
     feasible_truncation: int | None = None
 
 
-def _instance(params, generators: tuple[Fraction, ...] = ()) -> TransformInstance:
+def _instance(params) -> TransformInstance:
     """A pair or quad instance over params, each checked to lie in (-1, 1)."""
     checked = [check_unit(name, q) for name, q in zip("XYVW", params)]
-    return TransformInstance("pair" if len(checked) == 2 else "quad", *checked, params=generators)
+    return TransformInstance("pair" if len(checked) == 2 else "quad", *checked)
 
 
-def _from_solution(values, generators: tuple[Fraction, ...]) -> TransformInstance:
+def _from_solution(values) -> TransformInstance:
     """The instance of a solution, one parameter per solution value."""
-    return _instance([(x - 1) / x for x in values], generators)
+    return _instance([(x - 1) / x for x in values])
 
 
 def pair_from_euler(n: int) -> TransformInstance:
     """Pair instance X = 1-(n/(n+1))^n, Y = 1-(n/(n+1))^(n+1); both in (0, 1)."""
-    return _from_solution(euler_solution(n), (Fraction(n),))  # validates n
+    return _from_solution(euler_solution(n))  # validates n
 
 
 def manual_pair(X: Fraction, Y: Fraction) -> TransformInstance:
@@ -113,8 +117,7 @@ def quad_from_family(a: Fraction, b: Fraction, c: Fraction) -> TransformInstance
     Requires the underlying tuple to be rational-valued with every member
     above 1/2, so that each mapped parameter lands inside (-1, 1).
     """
-    t = general_solution(a, b, c)
-    return _from_solution(t.as_fractions(), tuple(Fraction(q) for q in (a, b, c)))
+    return _from_solution(general_solution(a, b, c).as_fractions())
 
 
 def manual_quad(X: Fraction, Y: Fraction, V: Fraction, W: Fraction) -> TransformInstance:
@@ -126,54 +129,95 @@ def closed_equality_check(t: TransformInstance) -> bool:
     return t.scalar_identity.holds
 
 
-def estimated_points(evaluations: int, Nj: int, Nk: int) -> int:
-    """Visible points that evaluations products over an Nj x Nk box enumerate.
+def estimated_points(evaluations: int, N: int) -> int:
+    """Visible points that evaluations products over an N x N box enumerate.
 
-    A box holds about 6/pi^2 * Nj * Nk coprime pairs; 6/pi^2 < 0.60793, and
+    A box holds about 6/pi^2 * N^2 coprime pairs; 6/pi^2 < 0.60793, and
     integer arithmetic keeps huge boxes from overflowing a float.
     """
-    return -(-evaluations * Nj * Nk * 60793 // 100000)
+    return -(-evaluations * N * N * 60793 // 100000)
 
 
-def check_point_budget(evaluations: int, Nj: int, Nk: int, budget: int) -> None:
-    """Refuse product evaluations whose estimated points exceed the budget."""
-    points = estimated_points(evaluations, Nj, Nk)
-    if points > budget:
+def check_point_budget(evaluations: int, N: int) -> None:
+    """Refuse product evaluations whose estimated points exceed POINT_BUDGET."""
+    points = estimated_points(evaluations, N)
+    if points > POINT_BUDGET:
         raise PointBudgetExceeded(
             f"estimated {points} lattice points ({evaluations} evaluations of the "
-            f"{Nj} x {Nk} box) exceed the point budget of {budget}"
+            f"{N} x {N} box) exceed the point budget of {POINT_BUDGET}"
         )
 
 
-def _slack(precision_bits: int):
-    return mp.ldexp(1, -precision_bits + 16)
-
-
 def verify_pair_transform(
-    t: TransformInstance,
-    Nj: int = 400,
-    Nk: int = 400,
-    precision_bits: int = 256,
+    t: TransformInstance, N: int = 400, *, precision_bits: int = 256,
     convention: Convention = Convention.AXIS,
-    point_budget: int = DEFAULT_POINT_BUDGET,
 ) -> TransformReport:
-    """Compare the (X, Y) and (Y, X) direct products in the log domain.
+    """Compare F(X, Y) with F(Y, X) on the N x N box (see _verify)."""
+    return _verify(t, "pair", N, precision_bits, convention)
 
-    Verdict is true iff the log difference is within the two tail bounds plus
-    precision slack.  Raises PointBudgetExceeded when the two evaluations
-    would enumerate more than point_budget points.
+
+def verify_quad_transform(
+    t: TransformInstance, N: int = 400, *, precision_bits: int = 256,
+    convention: Convention = Convention.AXIS,
+) -> TransformReport:
+    """Compare F(X, Y) F(Y, X) with F(V, W) F(W, V) on the N x N box (see _verify)."""
+    return _verify(t, "quad", N, precision_bits, convention)
+
+
+def _verify(
+    t: TransformInstance, kind: str, N: int, precision_bits: int, convention: Convention
+) -> TransformReport:
+    """Verify the instance's product identity on the N x N box.
+
+    A quad whose summed factor tail bounds at N exceed TOLERANCE would get a
+    vacuous numeric comparison (and, for parameters like 2303/2304, an
+    astronomically expensive one), so the report flags infeasible-truncation
+    and carries the exact scalar verdict instead, with the smallest doubling
+    of N whose evaluations fit POINT_BUDGET and whose tails reach TOLERANCE,
+    if any.  Pairs are not gated yet: the benchmark's lattice warm-up runs
+    pair transforms at N = 12, where their tails sum to 2e-2 to 8e-2, and
+    expects a numeric verdict.  A comparison whose evaluations exceed
+    POINT_BUDGET raises PointBudgetExceeded.
     """
-    sides = _checked_sides(t, "pair", Nj, Nk, precision_bits)
-    return _compare_sides(sides, Nj, Nk, precision_bits, convention, point_budget)
-
-
-def _checked_sides(t: TransformInstance, kind: str, Nj: int, Nk: int, precision_bits: int):
-    """The instance's sides, once its kind, box and precision are accepted."""
     if t.kind != kind:
         raise ValueError(f"expected a {kind} instance, got {t.kind}")
-    check_box(Nj, Nk)
+    check_box(N, N)
     check_precision(precision_bits)
-    return t.sides()
+    sides = t.sides()
+    if kind == "quad":
+        with mp.workprec(160):
+            tol = mp.mpf(TOLERANCE.numerator) / TOLERANCE.denominator
+            tail = _sides_tail(sides, N, convention)
+        if tail > tol:
+            return TransformReport(
+                left=None,
+                right=None,
+                abs_log_diff=None,
+                combined_bound=tail,
+                verdict=None,
+                warning="infeasible-truncation",
+                exact_verdict=closed_equality_check(t),
+                feasible_truncation=_feasible_truncation(sides, N, convention, tol),
+            )
+    report = _compare_sides(sides, N, precision_bits, convention)
+    return replace(report, exact_verdict=closed_equality_check(t))
+
+
+def _sides_tail(sides, N: int, convention: Convention):
+    """Sum of the factors' tail bounds over an N x N box, at 160 bits."""
+    with mp.workprec(160):
+        return sum(tail_bound(A, B, N, N, convention) for side in sides for A, B in side)
+
+
+def _feasible_truncation(sides, N: int, convention: Convention, tol) -> int | None:
+    """The smallest of 2N, 4N, ... within POINT_BUDGET whose tails reach tol."""
+    evaluations = sum(map(len, sides))
+    n = 2 * N
+    while estimated_points(evaluations, n) <= POINT_BUDGET:
+        if _sides_tail(sides, n, convention) <= tol:
+            return n
+        n *= 2
+    return None
 
 
 def _combine(r1: EvalReport, r2: EvalReport) -> EvalReport:
@@ -197,76 +241,23 @@ def _combine(r1: EvalReport, r2: EvalReport) -> EvalReport:
     )
 
 
-def _compare_sides(
-    sides, Nj: int, Nk: int, precision_bits: int, convention: Convention, point_budget: int
-) -> TransformReport:
+def _compare_sides(sides, N: int, precision_bits: int, convention: Convention) -> TransformReport:
     """Evaluate every factor, fold each side, and compare the two sides.
 
     A one-factor side is its own EvalReport.  The verdict is true iff the
     log difference is within both sides' tail bounds plus precision slack.
     """
-    check_point_budget(sum(map(len, sides)), Nj, Nk, point_budget)
-    evaluate = lambda A, B: eval_product(A, B, Nj, Nk, precision_bits, convention, Form.DIRECT)
+    check_point_budget(sum(map(len, sides)), N)
+    evaluate = lambda A, B: eval_product(A, B, N, N, precision_bits, convention, Form.DIRECT)
     left, right = (reduce(_combine, [evaluate(A, B) for A, B in side]) for side in sides)
     with mp.workprec(precision_bits + 16):
         diff = abs(left.log_value - right.log_value)
-        bound = left.tail_bound + right.tail_bound + _slack(precision_bits)
+        slack = mp.ldexp(1, -precision_bits + 16)
+        bound = left.tail_bound + right.tail_bound + slack
     return TransformReport(
         left=left,
         right=right,
         abs_log_diff=diff,
         combined_bound=bound,
         verdict=bool(diff <= bound),
-    )
-
-
-def _sides_tail(sides, N: int, convention: Convention):
-    """Sum of the factors' tail bounds over an N x N box, at 160 bits."""
-    with mp.workprec(160):
-        return sum(tail_bound(A, B, N, N, convention) for side in sides for A, B in side)
-
-
-def verify_quad_transform(
-    t: TransformInstance,
-    Nj: int = 400,
-    Nk: int = 400,
-    precision_bits: int = 256,
-    convention: Convention = Convention.AXIS,
-    point_budget: int = DEFAULT_POINT_BUDGET,
-) -> TransformReport:
-    """Compare both sides of the four-parameter product identity.
-
-    Each side is the product of two evaluations with swapped arguments.  When
-    the combined tail bound at the requested truncation exceeds the fixed
-    TOLERANCE the numeric comparison would be vacuous (and, for parameters
-    like 2303/2304, astronomically expensive), so the report flags
-    infeasible-truncation and carries the exact scalar verdict instead, with
-    the smallest doubling of the truncation whose four evaluations fit
-    point_budget, if any.  A feasible comparison whose evaluations exceed
-    point_budget raises PointBudgetExceeded.
-    """
-    sides = _checked_sides(t, "quad", Nj, Nk, precision_bits)
-    N = max(Nj, Nk)
-    with mp.workprec(160):
-        tol = mp.mpf(TOLERANCE.numerator) / TOLERANCE.denominator
-        requested_tail = _sides_tail(sides, N, convention)
-    if requested_tail <= tol:
-        return _compare_sides(sides, Nj, Nk, precision_bits, convention, point_budget)
-    # the tails at N are above tol already, so the doubling starts at 2N
-    feasible = 2 * N
-    while estimated_points(sum(map(len, sides)), feasible, feasible) <= point_budget:
-        if _sides_tail(sides, feasible, convention) <= tol:
-            break
-        feasible *= 2
-    else:
-        feasible = None
-    return TransformReport(
-        left=None,
-        right=None,
-        abs_log_diff=None,
-        combined_bound=requested_tail,
-        verdict=None,
-        warning="infeasible-truncation",
-        exact_verdict=closed_equality_check(t),
-        feasible_truncation=feasible,
     )

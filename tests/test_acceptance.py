@@ -176,10 +176,10 @@ def test_criterion_8_pair_transforms():
     t0 = time.perf_counter()
     ok = True
     for n in range(1, 5):
-        rep = verify_pair_transform(pair_from_euler(n), 600, 600, 256, Convention.AXIS)
+        rep = verify_pair_transform(pair_from_euler(n), 600, convention=Convention.AXIS)
         with mp.workprec(300):
             ok = ok and rep.verdict is True and rep.combined_bound <= mp.mpf("1e-10")
-    erratum = verify_pair_transform(manual_pair(F(1, 2), F(1, 4)), 300, 300, 256)
+    erratum = verify_pair_transform(manual_pair(F(1, 2), F(1, 4)), 300)
     ok = ok and erratum.verdict is False
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120.0
@@ -190,13 +190,13 @@ def test_criterion_9_quad_transforms():
     t0 = time.perf_counter()
     ok = True
     for a, b, c in ((3, 2, 1), (4, 2, 2)):
-        rep = verify_quad_transform(quad_from_family(F(a), F(b), F(c)), 400, 400, 256)
+        rep = verify_quad_transform(quad_from_family(F(a), F(b), F(c)), 400)
         ok = ok and rep.warning is None and rep.verdict is True
     numeric_elapsed = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     for a, b, c in ((8, 6, 2), (9, 6, 3)):
-        rep = verify_quad_transform(quad_from_family(F(a), F(b), F(c)), 1000, 1000, 256)
+        rep = verify_quad_transform(quad_from_family(F(a), F(b), F(c)), 1000)
         ok = ok and rep.warning == "infeasible-truncation" and rep.exact_verdict is True
     # the two displayed equalities, rebuilt from scratch as exponent vectors
     ok = ok and (

@@ -1,11 +1,19 @@
+import argparse
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from xyyx.cli import build_parser, main, mpf_hex, parse_rational, render_fraction
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # 10000000000000000051 * 30000000000000000041: rho would need ~10^10 steps
 HARD_SEMIPRIME = "300000000000000001940000000000000002091"
@@ -248,12 +256,12 @@ class TestPointBudget:
         assert "lattice points" in doc["message"]
         assert "point budget of 10000000" in doc["message"]
 
-    def test_pair_transform_honours_point_budget(self, capsys):
-        code, doc = run_json(
-            capsys, "transform", "--n", "1", "--truncation", "150", "--point-budget", "1000"
-        )
-        assert code == 1 and doc["status"] == "error"
-        assert "point budget of 1000" in doc["message"]
+    def test_point_budget_is_not_a_flag(self, capsys):
+        # the budget is fixed at 10^7 for every product evaluation
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "--n", "1", "--point-budget", "1000"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --point-budget" in capsys.readouterr().err
 
 
 class TestSearch:
@@ -305,6 +313,22 @@ class TestOutputModes:
             _, doc = run_json(capsys, "vpv-eval", "1/10", "1/5", "--truncation", "20")
             assert doc["results"]["precision_bits"] == bits
 
+    def test_closed_stdout_ends_without_traceback(self):
+        # over 1 MB of output, more than any default pipe buffer holds
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "xyyx", "search", "200", "200"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout.readline().startswith(b"command: search")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("VPV_PRECISION_BITS", "128")
         _, doc = run_json(
@@ -343,3 +367,28 @@ class TestSubcommandFlags:
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+
+def readme_flags() -> dict[str, set[str]]:
+    """The --flags of each subcommand, as the README "Command line" table lists them."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    table = {}
+    for line in section.split("\n## ", 1)[0].splitlines():
+        row = re.fullmatch(r"\| (.*?) \| (.*) \|", line)
+        if row and "`" in row[1]:
+            for name in re.findall(r"`([a-z-]+)`", row[1]):
+                table[name] = set(re.findall(r"--[a-z][a-z-]*", row[2]))
+    return table
+
+
+def parser_flags() -> dict[str, set[str]]:
+    """The option strings of each subparser of build_parser(), help excluded."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_readme_flag_table_matches_the_parser():
+    assert readme_flags() == parser_flags()

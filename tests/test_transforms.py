@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp
 
+from xyyx import transforms
 from xyyx.errors import DomainViolation, NonRationalTuple, PointBudgetExceeded
 from xyyx.solutions import euler_solution, general_solution, pair_identity, quad_identity
 from xyyx.transforms import (
@@ -73,7 +74,6 @@ class TestQuadFromFamily:
             inst = quad_from_family(F(a), F(b), F(c))
             x = 1 / (1 - inst.X)
             assert (x - 1) / x == inst.X
-            assert inst.params == (F(a), F(b), F(c))
 
     @pytest.mark.parametrize("abc", [(3, 2, 1), (4, 2, 2), (5, 3, 2), (8, 6, 2), (9, 6, 3)])
     def test_scalar_identity_is_the_solution_identity(self, abc):
@@ -82,7 +82,7 @@ class TestQuadFromFamily:
 
     def test_instance_holds_only_parameters(self):
         fields = TransformInstance.__dataclass_fields__
-        assert set(fields) == {"kind", "X", "Y", "V", "W", "params"}
+        assert set(fields) == {"kind", "X", "Y", "V", "W"}
 
 
 class TestClosedEqualityCheck:
@@ -100,7 +100,7 @@ class TestClosedEqualityCheck:
 
 class TestVerifyPairTransform:
     def test_euler_1_axis_true(self):
-        rep = verify_pair_transform(pair_from_euler(1), 200, 200, 256)
+        rep = verify_pair_transform(pair_from_euler(1), 200)
         assert rep.verdict is True
         assert rep.abs_log_diff <= rep.combined_bound
         # both sides converge to the same direct closed form 1/16
@@ -110,67 +110,74 @@ class TestVerifyPairTransform:
 
     def test_euler_1_strict_false(self):
         # strict closed forms (1/4)^1 vs (1/2)^3 differ: convention sensitivity
-        rep = verify_pair_transform(pair_from_euler(1), 200, 200, 256, Convention.STRICT)
+        rep = verify_pair_transform(pair_from_euler(1), 200, convention=Convention.STRICT)
         assert rep.verdict is False
 
     def test_printed_erratum_instance_fails(self):
         # the (1/2, 1/4) vs (1/4, 1/2) comparison: not a valid transform pair
         inst = manual_pair(F(1, 2), F(1, 4))
         assert not inst.scalar_identity.holds
-        rep = verify_pair_transform(inst, 150, 150, 256)
+        rep = verify_pair_transform(inst, 150)
         assert rep.verdict is False
         with mp.workprec(280):
             assert rep.abs_log_diff > mp.mpf("0.3")
 
     def test_verdict_invariant_under_swap(self):
         for X, Y in ((F(1, 2), F(3, 4)), (F(1, 2), F(1, 4))):
-            a = verify_pair_transform(manual_pair(X, Y), 120, 120, 192)
-            b = verify_pair_transform(manual_pair(Y, X), 120, 120, 192)
+            a = verify_pair_transform(manual_pair(X, Y), 120, precision_bits=192)
+            b = verify_pair_transform(manual_pair(Y, X), 120, precision_bits=192)
             assert a.verdict == b.verdict
 
     def test_over_budget_raises(self):
-        with pytest.raises(PointBudgetExceeded):
-            verify_pair_transform(pair_from_euler(1), 150, 150, 256, point_budget=10**4)
+        # 2 evaluations of the 4100 x 4100 box: about 2.04e7 points
+        with pytest.raises(PointBudgetExceeded, match="point budget of 10000000"):
+            verify_pair_transform(pair_from_euler(1), 4100)
 
     def test_sides_are_the_eval_product_reports(self):
         inst = pair_from_euler(2)
-        rep = verify_pair_transform(inst, 60, 50, 128, Convention.STRICT)
-        assert rep.left == eval_product(inst.X, inst.Y, 60, 50, 128, Convention.STRICT, Form.DIRECT)
-        assert rep.right == eval_product(inst.Y, inst.X, 60, 50, 128, Convention.STRICT, Form.DIRECT)
+        rep = verify_pair_transform(inst, 60, precision_bits=128, convention=Convention.STRICT)
+        assert rep.left == eval_product(inst.X, inst.Y, 60, 60, 128, Convention.STRICT, Form.DIRECT)
+        assert rep.right == eval_product(inst.Y, inst.X, 60, 60, 128, Convention.STRICT, Form.DIRECT)
 
     def test_rejects_quad_instance(self):
         with pytest.raises(ValueError):
             verify_pair_transform(quad_from_family(F(3), F(2), F(1)))
 
+    @pytest.mark.parametrize("verify", [verify_pair_transform, verify_quad_transform])
+    def test_precision_and_convention_are_keyword_only(self, verify):
+        # an old (t, Nj, Nk, bits) call must not run at another precision
+        with pytest.raises(TypeError):
+            verify(pair_from_euler(1), 60, 60, 128)
+
 
 class TestVerifyQuadTransform:
     def test_3_2_1_true(self):
-        rep = verify_quad_transform(quad_from_family(F(3), F(2), F(1)), 200, 200, 256)
+        rep = verify_quad_transform(quad_from_family(F(3), F(2), F(1)), 200)
         assert rep.warning is None
         assert rep.verdict is True
         assert rep.abs_log_diff <= rep.combined_bound
 
     def test_4_2_2_true(self):
-        rep = verify_quad_transform(quad_from_family(F(4), F(2), F(2)), 400, 400, 256)
+        rep = verify_quad_transform(quad_from_family(F(4), F(2), F(2)), 400)
         assert rep.verdict is True
 
     def test_4_2_2_infeasible_below_400(self):
         # the swapped side's tail at N=300 is ~8e-8, above the 1e-8 tolerance
-        rep = verify_quad_transform(quad_from_family(F(4), F(2), F(2)), 300, 300, 256)
+        rep = verify_quad_transform(quad_from_family(F(4), F(2), F(2)), 300)
         assert rep.warning == "infeasible-truncation"
         assert rep.exact_verdict is True
         assert rep.feasible_truncation == 600  # doubling search from 300
 
     def test_fallback_bound_sums_every_factor_tail(self):
         inst = quad_from_family(F(4), F(2), F(2))
-        rep = verify_quad_transform(inst, 300, 300, 256)
+        rep = verify_quad_transform(inst, 300)
         X, Y, V, W = inst.parameters()
         with mp.workprec(160):
             tails = [tail_bound(A, B, 300, 300) for A, B in ((X, Y), (Y, X), (V, W), (W, V))]
             assert rep.combined_bound == ((tails[0] + tails[1]) + tails[2]) + tails[3]
 
     def test_8_6_2_infeasible_with_exact_fallback(self):
-        rep = verify_quad_transform(quad_from_family(F(8), F(6), F(2)), 1000, 1000, 256)
+        rep = verify_quad_transform(quad_from_family(F(8), F(6), F(2)), 1000)
         assert rep.warning == "infeasible-truncation"
         assert rep.verdict is None
         assert rep.left is None
@@ -178,14 +185,13 @@ class TestVerifyQuadTransform:
         assert rep.feasible_truncation is None  # not within the default budget
 
     def test_feasible_but_over_budget_raises(self):
-        with pytest.raises(PointBudgetExceeded):
-            verify_quad_transform(
-                quad_from_family(F(3), F(2), F(1)), 200, 200, 256, point_budget=10**4
-            )
+        # 4 evaluations of the 2100 x 2100 box: about 1.07e7 points
+        with pytest.raises(PointBudgetExceeded, match="point budget of 10000000"):
+            verify_quad_transform(quad_from_family(F(3), F(2), F(1)), 2100)
 
     def test_side_is_the_sum_of_its_factors(self):
         inst = quad_from_family(F(3), F(2), F(1))
-        rep = verify_quad_transform(inst, 60, 60, 192)
+        rep = verify_quad_transform(inst, 60, precision_bits=192)
         lx = eval_product(inst.X, inst.Y, 60, 60, 192)
         ly = eval_product(inst.Y, inst.X, 60, 60, 192)
         rv = eval_product(inst.V, inst.W, 60, 60, 192)
@@ -199,14 +205,16 @@ class TestVerifyQuadTransform:
     def test_inputs_checked_before_the_tail_gate(self, precision_bits, N):
         # (8, 6, 2) is infeasible at any N here, so a missing check would fall back
         with pytest.raises(ValueError):
-            verify_quad_transform(quad_from_family(F(8), F(6), F(2)), N, N, precision_bits)
+            verify_quad_transform(
+                quad_from_family(F(8), F(6), F(2)), N, precision_bits=precision_bits
+            )
 
     def test_bad_quad_still_reports_false_exact_verdict(self):
         inst = manual_quad(F(1, 2), F(3, 4), F(1, 2), F(1, 2))
-        rep = verify_quad_transform(inst, 150, 150, 256)
+        rep = verify_quad_transform(inst, 150)
         assert rep.verdict is False
 
-    def test_feasible_truncation_matches_doubling_from_N(self):
+    def test_feasible_truncation_matches_doubling_from_N(self, monkeypatch):
         with mp.workprec(160):
             tol = mp.mpf(1) / 10**8
 
@@ -218,7 +226,7 @@ class TestVerifyQuadTransform:
         def reference(inst, N, budget):
             # the smallest of N, 2N, 4N, ... within the budget whose tails reach tol
             n = N
-            while estimated_points(4, n, n) <= budget:
+            while estimated_points(4, n) <= budget:
                 if tails(inst, n) <= tol:
                     return n
                 n *= 2
@@ -232,7 +240,8 @@ class TestVerifyQuadTransform:
                     continue  # feasible at N: a numeric comparison, not a search
                 # 10 stops the search at once for N >= 3, and 10**4 for N = 301
                 for budget in (10, 10**4, 3 * 10**5, 10**6, 10**8):
-                    rep = verify_quad_transform(inst, N, N, 256, point_budget=budget)
+                    monkeypatch.setattr(transforms, "POINT_BUDGET", budget)
+                    rep = verify_quad_transform(inst, N)
                     assert rep.warning == "infeasible-truncation"
                     assert rep.feasible_truncation == reference(inst, N, budget), (abc, N, budget)
                     found.append(rep.feasible_truncation)
@@ -240,6 +249,32 @@ class TestVerifyQuadTransform:
 
     def test_combined_bound_shrinks_with_truncation(self):
         inst = quad_from_family(F(4), F(2), F(2))
-        r1 = verify_quad_transform(inst, 300, 300, 256)
-        r2 = verify_quad_transform(inst, 500, 500, 256)
+        r1 = verify_quad_transform(inst, 300)
+        r2 = verify_quad_transform(inst, 500)
         assert r2.combined_bound < r1.combined_bound
+
+
+GATE_INSTANCES = {
+    "3-2-1": quad_from_family(F(3), F(2), F(1)),
+    "4-2-2": quad_from_family(F(4), F(2), F(2)),
+    "false": manual_quad(F(1, 2), F(3, 4), F(1, 2), F(1, 2)),
+}
+
+
+class TestTailGate:
+    """A quad report without a warning rests on tails within TOLERANCE."""
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 20, 60, 150])
+    @pytest.mark.parametrize("name", sorted(GATE_INSTANCES))
+    def test_numeric_verdicts_rest_on_tails_within_tolerance(self, name, N):
+        inst = GATE_INSTANCES[name]
+        rep = verify_quad_transform(inst, N, precision_bits=128)
+        assert rep.exact_verdict is closed_equality_check(inst)
+        if rep.warning is None:
+            with mp.workprec(160):
+                assert rep.left.tail_bound + rep.right.tail_bound <= mp.mpf(1) / 10**8
+            assert rep.left.truncation == rep.right.truncation == (N, N)
+        else:
+            assert rep.warning == "infeasible-truncation" and rep.verdict is None
+        if name == "false":
+            assert rep.verdict is not True
