@@ -1,8 +1,8 @@
 """Command-line front end with machine-readable output.
 
 Every subcommand takes --json.  --precision BITS (default: the
-VPV_PRECISION_BITS environment variable, else 256) goes with family, digits,
-vpv-eval and transform, the four that use a working precision;
+VPV_PRECISION_BITS environment variable, else 256; 64 to 65536) goes with
+family, digits, vpv-eval and transform, the four that use a working precision;
 --truncation N and --convention axis|strict go with vpv-eval and transform,
 the two that evaluate products.  euler, verify and search are exact and take
 no numeric flags; a flag a subcommand does not take is a usage error (exit
@@ -33,7 +33,7 @@ from mpmath import mp
 
 from . import __version__
 from .errors import NonIntegerValue, NonPositiveParameter
-from .exact import digit_count, log10_interval
+from .exact import check_precision, digit_count, log10_interval
 from .solutions import (
     classify_triviality,
     euler_solution,
@@ -445,8 +445,10 @@ def _env_precision() -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if hasattr(args, "precision") and args.precision is None:
-            args.precision = _env_precision()
+        if hasattr(args, "precision"):
+            if args.precision is None:
+                args.precision = _env_precision()
+            check_precision(args.precision)
         result = args.func(args)
     except ValueError as exc:  # every error class in errors.py is one
         result = _result(args.command, {}, {}, status="error", message=str(exc))

@@ -235,10 +235,20 @@ class PrimePowerProduct:
 ONE = PrimePowerProduct()
 
 
+# One mpmath log at 2^16 bits takes about 0.4 s with the pure-Python backend,
+# and its cost grows faster than the width, so a command at a much higher
+# precision would seem to hang.
+MAX_PRECISION_BITS = 2**16
+
+
 def check_precision(precision_bits: int) -> None:
-    """Refuse working precisions below 64 bits."""
+    """Refuse working precisions below 64 or above MAX_PRECISION_BITS bits."""
     if precision_bits < 64:
         raise ValueError(f"precision_bits must be >= 64, got {precision_bits}")
+    if precision_bits > MAX_PRECISION_BITS:
+        raise ValueError(
+            f"precision_bits must be <= {MAX_PRECISION_BITS}, got {precision_bits}"
+        )
 
 
 @contextmanager

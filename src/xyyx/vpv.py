@@ -7,11 +7,12 @@ m = gcd(J, K) collapses the coprime-indexed sum into the plain double series
 sum X^J Y^K / K, which is what the closed forms and the tail bound rest on.
 
 The evaluation works column by column: for each k it multiplies the factors
-(1 - X^j Y^k), j coprime to k, in ascending j at extra precision, stops the
-column once |X^j Y^k| falls below 2^-(p + GUARD_BITS) (1 - |X|), and adds
-log(column)/k to a compensated sum, so one evaluation takes at most Nk logs.
-The a-priori rounding and pruning error is below 2^-(p+8) whenever
-|X|, |Y| <= 1 - 2^-14; eval_product derives the budget.
+(1 - X^j Y^k), j coprime to k, in ascending j in fixed-point Python integers
+at extra precision, stops the column once |X^j Y^k| falls below
+2^-(p + GUARD_BITS) (1 - |X|), and adds log(column)/k to a compensated sum,
+so one evaluation takes at most Nk mpmath logs and no other mpmath arithmetic
+per point.  The a-priori rounding and pruning error is below 2^-(p+8)
+whenever |X|, |Y| <= 1 - 2^-14; eval_product derives the budget.
 
 Two region conventions are supported.  "strict" is the box j, k >= 1 only and
 gives the closed form (1-Y)^(X/(1-X)) for the direct product; "axis" adds the
@@ -191,37 +192,59 @@ def eval_product(
     form and -1 for the reciprocal, and P_k the column product of the
     factors (1 - X^j Y^k) over the j <= Nj coprime to k.
 
-    Column order.  Write p = precision_bits, u = 2^-(p + GUARD_BITS) and
-    S = |X|/(1-|X|) * log(1/(1-|Y|)).  For k = 1..Nk in turn, P_k is
-    multiplied out in ascending j at p + GUARD_BITS + e bits, where
-    e = bitlen(Nj + Nk) + bitlen(ceil(1/(1-|XY|))) + 2 covers the growth of
-    the rounding of the powers and of the up to Nj products (Higham,
-    Accuracy and Stability of Numerical Algorithms, s3.1: n rounded factors
-    carry relative error at most gamma_n = nu/(1-nu)).  Then log(P_k)/k is
-    taken and added to a compensated sum at p + GUARD_BITS: at most Nk logs
-    per evaluation.  The axis point's log(1 - Y) is added last, so that the
-    axis and strict sums differ by exactly one rounded addition.
+    Column order.  Write p = precision_bits, u = 2^-(p + GUARD_BITS),
+    L = log(1/(1-|Y|)), S = |X|/(1-|X|) * L and M = min(Nj, 1/(1-|X|)).
+    For k = 1..Nk in turn, P_k is multiplied out in ascending j in Python
+    integers at P = p + GUARD_BITS + e bits, where
+    e = bitlen(Nj + Nk) + bitlen(ceil(1/((1-|XY|)(1-|X|)))) + 2, so that
+    eps = 2^-P < u (1-|XY|) (1-|X|) / (4 (Nj + Nk)).  X, Y and their powers are
+    fixed-point integers scaled by 2^P, x_j = (x_(j-1) * xf) >> P; each
+    factor is ONE - ((x_j * y_k) >> P) with ONE = 2^P; and the column is an
+    integer mantissa with its own exponent, cut back to P bits after every
+    multiply.  Each column then becomes one mpf (exactly, as it has P bits),
+    and log(P_k)/k is taken and added to a compensated sum at
+    p + GUARD_BITS: at most Nk logs per evaluation.  The axis point's
+    log(1 - Y) is added last, so that the axis and strict sums differ by
+    exactly one rounded addition.
 
     Pruning.  A column stops at the first j with |X^j Y^k| below
-    u (1-|X|); as |X| < 1 the magnitudes fall in j, so the skipped factors
-    of column k carry log mass at most u/k.  Once the j = 1 factor of a
+    u (1-|X|), tested on the fixed-point powers as the integer comparison
+    |x_j * y_k| < (ONE - |xf|) << (P - p - GUARD_BITS); as |X| < 1 the
+    magnitudes fall in j, so the skipped factors of column k carry log mass
+    at most u/k plus the test's own error.  Once the j = 1 factor of a
     column is below the cut, that column and all later ones are skipped.
 
     Error budget, to first order in u, against the exact log of the
-    truncated product (T = X^j Y^k):
+    truncated product (T = X^j Y^k, t its fixed-point value):
 
-    * pruned mass, at most u * H_Nk (harmonic number);
-    * column products, at most u * (H_Nk/2 + 3S/4): the two roundings per
-      factor grow as gamma_2Nj, and the powers' relative error
-      gamma_3(j+k), amplified by |T|/(1-|T|) <= |T|/(1-|XY|), sums to
-      gamma_3(Nj+Nk) S/(1-|XY|); the e extra bits scale both below u;
+    * every truncating shift loses less than one unit of eps; on negative
+      integers >> rounds toward -inf, so the loss is one-sided but still
+      below eps.  Each column cut keeps P bits, so it loses less than
+      2 eps relative;
+    * powers: x_j - X^j = (x_(j-1) - X^(j-1)) X + X^(j-1) (x_1 - X) - loss,
+      so |x_j - X^j| <= 2 eps min(j, 1/(1-|X|)) (the input rounding and one
+      shift per step, damped by |X|), and likewise for y_k;
+    * factors, at most u * (H_Nk/4 + (L+1)/2): |t - T| <=
+      2 eps (M |Y|^k + k |X|^j) + eps, which 1/(1-|T|) <= 1/(1-|XY|)
+      amplifies in log(1 - t); summed with weights 1/k over the box, using
+      sum_k |Y|^k/k <= L, sum_j |X|^j <= M and M (1-|X|) <= 1.  The factor
+      1-|X| in e is what absorbs the row sums of the powers' error;
+    * column products, at most u * H_Nk/2: up to Nj cuts carry relative
+      error at most gamma_Nj = Nj nu/(1 - Nj nu) with nu = 2 eps (Higham,
+      Accuracy and Stability of Numerical Algorithms, s3.1);
+    * pruned mass, at most u * (H_Nk + (L+1)/2): the skipped factors of
+      column k carry at most (cut + delta) M / k, with cut * M <= u and the
+      test's error delta <= 2 eps (M |Y|^k + k), below half the cut;
     * logs (within one ulp), divisions and the compensated sum, at most
       5u * S, since sum_k |log P_k|/k <= sum |log(1 - |T|)|/k = S;
-    * the axis term, at most u * (S + 3 |log(1-Y)|).
+    * the axis term, at most u * (S + 3 |log(1-Y)| + 2/(1-|Y|)): 1 - Y is
+      formed from Y rounded at p + GUARD_BITS, and the subtraction cancels
+      up to log2(1/(1-Y)) of its bits.
 
-    The total u * (2 H_Nk + 7S + 3 |log(1-Y)|) is below 2^-(p+8) = 2^24 u
-    whenever S < 2^21 and |log(1-Y)| < 2^16 (H_Nk < 32 for any box a point
-    budget admits; S < 2^18 for |X|, |Y| <= 1 - 2^-14).  That is well inside
+    The total u * (2 H_Nk + 1 + L + 6S + 3 |log(1-Y)| + 2/(1-|Y|)) is
+    below 2^-(p+8) = 2^24 u whenever S < 2^21 and |Y| <= 1 - 2^-20, as
+    |log(1-Y)| <= L (H_Nk < 32 for any box a point budget admits; S < 2^18
+    for |X|, |Y| <= 1 - 2^-14).  That is well inside
     the 2^(-p+16) precision slack the transform verdicts allow.  X = 0 skips
     every column and gives log_value == 0 exactly in the strict convention.
     """
@@ -230,30 +253,36 @@ def eval_product(
     check_precision(precision_bits)
     sign = 1 if form is Form.DIRECT else -1
     prec = precision_bits + GUARD_BITS
-    extra = (Nj + Nk).bit_length() + math.ceil(1 / (1 - abs(X * Y))).bit_length() + 2
+    amp = math.ceil(1 / ((1 - abs(X * Y)) * (1 - abs(X))))
+    extra = (Nj + Nk).bit_length() + amp.bit_length() + 2
+    P = prec + extra
+    ONE = 1 << P
+    xf = (X.numerator << P) // X.denominator
+    yf = (Y.numerator << P) // Y.denominator
+    xpow = [ONE]
+    for _ in range(Nj):
+        xpow.append((xpow[-1] * xf) >> P)
+    cut = (ONE - abs(xf)) << (P - prec)
     gcd = math.gcd
     log = mp.log
     columns = []
-    with mp.workprec(prec + extra):
-        xm, ym = _mpf_q(X), _mpf_q(Y)
-        one = mp.mpf(1)
-        xpow = [one]
-        for _ in range(Nj):
-            xpow.append(xpow[-1] * xm)
-        cut = mp.ldexp(one - abs(xm), -prec)
-        jmax = Nj
-        yk = one
+    jmax = Nj
+    yk = ONE
+    with mp.workprec(P):  # wide enough to hold each P-bit column exactly
         for k in range(1, Nk + 1):
-            yk = yk * ym
+            yk = (yk * yf) >> P
             while jmax and abs(xpow[jmax] * yk) < cut:
                 jmax -= 1
             if not jmax:
                 break
-            column = one
+            c, c_exp = ONE, -P
             for j in range(1, jmax + 1):
                 if gcd(j, k) == 1:
-                    column *= one - xpow[j] * yk
-            columns.append((k, column))
+                    c *= ONE - ((xpow[j] * yk) >> P)
+                    sh = c.bit_length() - P
+                    c >>= sh
+                    c_exp += sh - P
+            columns.append((k, mp.mpf((c, c_exp))))
     with mp.workprec(prec):
         total = mp.mpf(0)
         comp = mp.mpf(0)

@@ -264,6 +264,36 @@ class TestPointBudget:
         assert "unrecognized arguments: --point-budget" in capsys.readouterr().err
 
 
+class TestPrecisionCeiling:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("vpv-eval", "1/2", "3/4", "--truncation", "2"),
+            # an irrational tuple, so the precision reaches numeric_verify
+            ("family", "4", "5", "--a", "26/3"),
+            ("family", "4", "5"),
+            ("digits", "6", "2"),
+            ("transform", "--n", "1", "--truncation", "2"),
+        ],
+    )
+    def test_above_the_ceiling_is_refused_at_once(self, capsys, monkeypatch, argv):
+        # one bit above the ceiling from the environment; the flag wins over it
+        monkeypatch.setenv("VPV_PRECISION_BITS", "65537")
+        for flags in ((), ("--precision", "10000000")):
+            t0 = time.perf_counter()
+            code, doc = run_json(capsys, *argv, *flags)
+            assert time.perf_counter() - t0 < 1.0
+            assert code == 1 and doc["status"] == "error"
+            assert "precision_bits must be <= 65536" in doc["message"]
+
+    def test_ceiling_itself_is_accepted(self, capsys):
+        code, doc = run_json(
+            capsys, "vpv-eval", "1/2", "3/4", "--truncation", "2", "--precision", "65536"
+        )
+        assert code == 0 and doc["status"] == "ok"
+        assert doc["inputs"]["precision_bits"] == 65536
+
+
 class TestSearch:
     def test_6_4(self, capsys):
         _, doc = run_json(capsys, "search", "6", "4")

@@ -14,6 +14,7 @@ from xyyx.errors import (
     NonPositiveParameter,
 )
 from xyyx.exact import (
+    MAX_PRECISION_BITS,
     ONE,
     PrimePowerProduct,
     digit_count,
@@ -195,6 +196,10 @@ class TestLog10Interval:
     def test_rejects_low_precision(self):
         with pytest.raises(ValueError):
             log10_interval(ONE, 32)
+
+    def test_rejects_precision_above_the_ceiling(self):
+        with pytest.raises(ValueError, match="precision_bits must be <= 65536"):
+            log10_interval(ONE, MAX_PRECISION_BITS + 1)
 
 
 class TestDigitCount:

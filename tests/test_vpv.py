@@ -211,8 +211,9 @@ MAGNITUDES = (F(1, 10), F(1, 2), F(14, 15), F(2303, 2304))
 SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def assert_agrees_with_reference(X, Y, Nj, Nk, bits):
-    tol = mp.ldexp(1, -(bits + 16))
+def assert_agrees_with_reference(X, Y, Nj, Nk, bits, tol=None):
+    if tol is None:
+        tol = mp.ldexp(1, -(bits + 16))
     for conv in (AXIS, STRICT):
         for form in (DIRECT, RECIPROCAL):
             r = eval_product(X, Y, Nj, Nk, bits, conv, form)
@@ -247,6 +248,50 @@ class TestColumnProductAgreement:
     def test_zero_parameters(self, X, Y):
         assert_agrees_with_reference(X, Y, 30, 17, 128)
 
+    @pytest.mark.parametrize(
+        "X,Y,Nj,Nk,bits",
+        [
+            # negative X: odd powers are negative, so >> rounds them toward -inf
+            (F(-5, 7), F(3, 4), 31, 29, 128),
+            (F(-9, 10), F(-14, 15), 41, 23, 64),
+            # powers of X stay near 1 across the box; S is about 2^49
+            (1 - F(1, 2**50), F(1, 2), 20, 20, 128),
+            (F(1, 2**50) - 1, F(1, 2), 20, 20, 128),
+            # the powers' absolute error adds up over rows of about
+            # 1/(1-|X|) = 2304 terms, while 1/(1-|XY|) is only about 1.1
+            (F(2303, 2304), F(1, 10), 120, 20, 64),
+            (F(2303, 2304), F(-1, 10), 120, 20, 64),
+            # the dyadic high-precision anchor of the lattice workload
+            (F(1, 2), F(3, 4), 68, 68, 2048),
+            # column products fall far below 2^-P: only the exponent keeps them
+            (F(2303, 2304), F(2303, 2304), 30, 30, 128),
+        ],
+    )
+    def test_fixed_point_hazards(self, X, Y, Nj, Nk, bits):
+        assert_agrees_with_reference(X, Y, Nj, Nk, bits)
+
+    @pytest.mark.parametrize("sx,sy", SIGNS)
+    def test_logs_follow_the_pruning_rule(self, monkeypatch, sx, sy):
+        # one log for the axis term plus one per column k whose j = 1 term
+        # |X Y^k| is at least 2^-(p+32) (1-|X|), in exact rationals
+        calls = []
+        log = mp.log
+
+        def counting_log(x):
+            calls.append(x)
+            return log(x)
+
+        monkeypatch.setattr(mp, "log", counting_log)
+        for Nj, Nk, bits in ((40, 130, 64), (130, 40, 64), (90, 90, 128), (20, 200, 256)):
+            cut = F(1, 2 ** (bits + GUARD_BITS))
+            for mx in MAGNITUDES:
+                for my in MAGNITUDES:
+                    X, Y = sx * mx, sy * my
+                    columns = sum(abs(X * Y**k) >= cut * (1 - abs(X)) for k in range(1, Nk + 1))
+                    calls.clear()
+                    eval_product(X, Y, Nj, Nk, bits, STRICT, DIRECT)
+                    assert len(calls) == 1 + columns, (X, Y, Nj, Nk, bits)
+
     @settings(max_examples=60, deadline=None)
     @given(
         X=st.fractions(-1, 1, max_denominator=10**4).filter(lambda q: abs(q) < 1),
@@ -260,6 +305,47 @@ class TestColumnProductAgreement:
     def test_within_tail_bound_plus_slack(self, X, Y, Nj, Nk, bits, conv, form):
         r = eval_product(X, Y, Nj, Nk, bits, conv, form)
         assert r.abs_log_diff <= r.tail_bound + mp.ldexp(1, -bits + 16)
+
+
+def derived_budget(X, Y, Nj, Nk, precision_bits):
+    """eval_product's a-priori error budget, evaluated for one case:
+    u (2 H_Nk + 1 + L + 6S + 3 |log(1-Y)| + 2/(1-|Y|)), u = 2^-(p+32)."""
+    with mp.workprec(precision_bits + 3 * GUARD_BITS):
+        ax, ay = mpf_q(abs(X)), mpf_q(abs(Y))
+        H = mp.fsum(mp.mpf(1) / k for k in range(1, Nk + 1))
+        L = -mp.log(1 - ay)
+        S = ax / (1 - ax) * L
+        total = 2 * H + 1 + L + 6 * S + 3 * abs(mp.log(1 - mpf_q(Y))) + 2 / (1 - ay)
+        return mp.ldexp(total, -(precision_bits + GUARD_BITS))
+
+
+class TestDerivedBudget:
+    """The error against the per-point reference stays inside the budget
+    that eval_product's docstring derives, case by case."""
+
+    @staticmethod
+    def assert_within_budget(X, Y, Nj, Nk, bits):
+        budget = derived_budget(X, Y, Nj, Nk, bits)
+        assert_agrees_with_reference(X, Y, Nj, Nk, bits, budget)
+
+    @pytest.mark.parametrize("sx,sy", SIGNS)
+    @pytest.mark.parametrize("bits,Nj,Nk", [(128, 37, 23), (256, 23, 37)])
+    def test_magnitude_grid(self, sx, sy, bits, Nj, Nk):
+        for mx in MAGNITUDES:
+            for my in MAGNITUDES:
+                self.assert_within_budget(sx * mx, sy * my, Nj, Nk, bits)
+
+    @pytest.mark.parametrize(
+        "X,Y,Nj,Nk,bits",
+        [
+            (F(-9, 10), F(-14, 15), 41, 23, 64),
+            (F(2303, 2304), F(1, 10), 120, 20, 64),
+            (F(1, 2), F(3, 4), 68, 68, 2048),
+            (F(14, 15), F(2303, 2304), 37, 23, 128),
+        ],
+    )
+    def test_hazards(self, X, Y, Nj, Nk, bits):
+        self.assert_within_budget(X, Y, Nj, Nk, bits)
 
 
 class TestTailBound:
@@ -339,6 +425,16 @@ class TestExactRegroupCheck:
 
     def test_formal_outside_unit_disc(self):
         assert exact_regroup_check(F(2), F(3), 6, 6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        X=st.fractions(-5, 5, max_denominator=20),
+        Y=st.fractions(-5, 5, max_denominator=20),
+        NJ=st.integers(1, 8),
+        NK=st.integers(1, 8),
+    )
+    def test_random_rationals(self, X, Y, NJ, NK):
+        assert exact_regroup_check(X, Y, NJ, NK)
 
     def test_asymmetric_boxes_random(self):
         rng = random.Random(13)
