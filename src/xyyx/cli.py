@@ -29,11 +29,11 @@ import re
 import sys
 from fractions import Fraction
 
-from mpmath import mp
+from mpmath import iv, mp
 
 from . import __version__
 from .errors import NonIntegerValue, NonPositiveParameter
-from .exact import check_precision, digit_count, log10_interval
+from .exact import check_precision, digit_count, iv_precision, log_interval
 from .solutions import (
     classify_triviality,
     euler_solution,
@@ -71,11 +71,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def render_fraction(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def mpf_hex(x) -> str:
@@ -166,8 +161,8 @@ def cmd_euler(args) -> dict:
         rows.append(
             {
                 "n": n,
-                "x": render_fraction(x),
-                "y": render_fraction(y),
+                "x": str(x),
+                "y": str(y),
                 "verified": verify_power_equation(x, y),
             }
         )
@@ -177,7 +172,7 @@ def cmd_euler(args) -> dict:
 def _tuple_payload(t, verified: bool, mode: str) -> dict:
     verdict = classify_triviality(t)
     values = {
-        name: render_fraction(u.to_fraction()) if u.is_rational else str(u)
+        name: str(u.to_fraction()) if u.is_rational else str(u)
         for name, u in zip("xyvw", t.values())
     }
     return {
@@ -195,7 +190,7 @@ def cmd_family(args) -> dict:
         t = rational_family(args.b, args.c)
     else:
         a = parse_rational(args.a)
-        inputs["a"] = render_fraction(a)
+        inputs["a"] = str(a)
         t = general_solution(a, Fraction(args.b), Fraction(args.c))
     if t.is_rational:
         payload = _tuple_payload(t, verify_product_equation(t), "exact")
@@ -209,7 +204,7 @@ def cmd_verify(args) -> dict:
     vals = [parse_rational(s) for s in (args.x, args.y, args.v, args.w)]
     t = manual_tuple(*vals)
     payload = _tuple_payload(t, verify_product_equation(t), "exact")
-    inputs = dict(zip("xyvw", (render_fraction(q) for q in vals)))
+    inputs = dict(zip("xyvw", (str(q) for q in vals)))
     return _result("verify", inputs, payload)
 
 
@@ -221,10 +216,17 @@ def cmd_digits(args) -> dict:
         )
     common = quad_identity(t).left
     digits = digit_count(common)
-    enc = log10_interval(common, args.precision)
-    with mp.workprec(args.precision + 8):
+    # log10 u has digits.bit_length() integer bits, so its enclosure is taken
+    # that much wider to keep p bits below the point for the mantissa; this
+    # width may pass the precision ceiling, which log10_interval would refuse
+    wide = args.precision + digits.bit_length()
+    with iv_precision(wide):
+        enc = log_interval(common, iv.log(iv.mpf(10)))
+    with mp.workprec(wide + 8):
         mid = (mp.mpf(enc.a) + mp.mpf(enc.b)) / 2
         lead = mp.power(10, mid - (digits - 1))
+    with mp.workprec(args.precision + 8):
+        mid = +mid  # the log10 field keeps its p + 8 bits
     results = {
         "common_value": str(common),
         "digits": digits,
@@ -249,8 +251,8 @@ def cmd_vpv_eval(args) -> dict:
         Form(args.form),
     )
     inputs = {
-        "X": render_fraction(X),
-        "Y": render_fraction(Y),
+        "X": str(X),
+        "Y": str(Y),
         "truncation": args.truncation,
         "precision_bits": args.precision,
         "convention": args.convention,
@@ -287,7 +289,7 @@ def cmd_transform(args) -> dict:
     else:
         a, b, c = (parse_rational(s) for s in args.abc)
         inst = quad_from_family(a, b, c)
-        inputs = {"a": render_fraction(a), "b": render_fraction(b), "c": render_fraction(c)}
+        inputs = {"a": str(a), "b": str(b), "c": str(c)}
         verify = verify_quad_transform
     report = verify(
         inst, args.truncation, precision_bits=args.precision, convention=Convention(args.convention)
@@ -309,7 +311,7 @@ def cmd_transform(args) -> dict:
     results = {
         "kind": inst.kind,
         "parameters": {
-            name: render_fraction(q) for name, q in zip("XYVW", inst.parameters())
+            name: str(q) for name, q in zip("XYVW", inst.parameters())
         },
         "exact_closed_equality": report.exact_verdict,
         "numeric": _transform_payload(report, args.precision),
@@ -327,7 +329,7 @@ def cmd_search(args) -> dict:
                 "b": int(b),
                 "c": int(c),
                 **{
-                    name: render_fraction(u.to_fraction())
+                    name: str(u.to_fraction())
                     for name, u in zip("xyvw", t.values())
                 },
                 "verified": verify_product_equation(t),

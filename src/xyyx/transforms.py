@@ -225,20 +225,14 @@ def _combine(r1: EvalReport, r2: EvalReport) -> EvalReport:
     with mp.workprec(r1.precision_bits + 16):
         log_value = r1.log_value + r2.log_value
         cf = r1.closed_form_value * r2.closed_form_value
-        tail = r1.tail_bound + r2.tail_bound
-        diff = abs(log_value - mp.log(cf))
-        product = mp.exp(log_value)
-    return EvalReport(
-        product_value=product,
-        log_value=log_value,
-        closed_form_value=cf,
-        abs_log_diff=diff,
-        tail_bound=tail,
-        truncation=r1.truncation,
-        precision_bits=r1.precision_bits,
-        convention=r1.convention,
-        form=r1.form,
-    )
+        return replace(
+            r1,
+            product_value=mp.exp(log_value),
+            log_value=log_value,
+            closed_form_value=cf,
+            abs_log_diff=abs(log_value - mp.log(cf)),
+            tail_bound=r1.tail_bound + r2.tail_bound,
+        )
 
 
 def _compare_sides(sides, N: int, precision_bits: int, convention: Convention) -> TransformReport:

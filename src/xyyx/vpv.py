@@ -9,10 +9,11 @@ sum X^J Y^K / K, which is what the closed forms and the tail bound rest on.
 The evaluation works column by column: for each k it multiplies the factors
 (1 - X^j Y^k), j coprime to k, in ascending j in fixed-point Python integers
 at extra precision, stops the column once |X^j Y^k| falls below
-2^-(p + GUARD_BITS) (1 - |X|), and adds log(column)/k to a compensated sum,
-so one evaluation takes at most Nk mpmath logs and no other mpmath arithmetic
-per point.  The a-priori rounding and pruning error is below 2^-(p+8)
-whenever |X|, |Y| <= 1 - 2^-14; eval_product derives the budget.
+2^-(p + GUARD_BITS) (1 - |X|), and sums the terms log(column)/k exactly with
+one final rounding (mp.fsum), so one evaluation takes at most Nk mpmath logs
+and no other mpmath arithmetic per point.  The a-priori rounding and pruning
+error is below 2^-(p+8) whenever |X|, |Y| <= 1 - 2^-14; eval_product derives
+the budget.
 
 Two region conventions are supported.  "strict" is the box j, k >= 1 only and
 gives the closed form (1-Y)^(X/(1-X)) for the direct product; "axis" adds the
@@ -77,7 +78,8 @@ def check_box(Nj: int, Nk: int) -> None:
 
 
 def _mpf_q(q: Fraction):
-    return mp.mpf(q.numerator) / mp.mpf(q.denominator)
+    """q rounded once to the working precision."""
+    return mp.fdiv(q.numerator, q.denominator)
 
 
 def visible_points(Nj: int, Nk: int, convention: Convention = Convention.AXIS) -> list[tuple[int, int]]:
@@ -144,7 +146,7 @@ def closed_form(
     check_precision(precision_bits)
     e = _closed_form_exponent(X, convention, form)
     with mp.workprec(precision_bits + GUARD_BITS):
-        return mp.exp(_mpf_q(e) * mp.log(1 - _mpf_q(Y)))
+        return mp.exp(_mpf_q(e) * mp.log(_mpf_q(1 - Y)))
 
 
 def tail_bound(
@@ -202,10 +204,11 @@ def eval_product(
     factor is ONE - ((x_j * y_k) >> P) with ONE = 2^P; and the column is an
     integer mantissa with its own exponent, cut back to P bits after every
     multiply.  Each column then becomes one mpf (exactly, as it has P bits),
-    and log(P_k)/k is taken and added to a compensated sum at
-    p + GUARD_BITS: at most Nk logs per evaluation.  The axis point's
-    log(1 - Y) is added last, so that the axis and strict sums differ by
-    exactly one rounded addition.
+    and the terms log(P_k)/k, taken at p + GUARD_BITS, are added by mp.fsum,
+    which sums them exactly in integers and rounds once: at most Nk logs per
+    evaluation.  The axis point's log(1 - Y), with 1 - Y formed as an exact
+    Fraction and rounded once, is added last, so that the axis and strict
+    sums differ by exactly one rounded addition.
 
     Pruning.  A column stops at the first j with |X^j Y^k| below
     u (1-|X|), tested on the fixed-point powers as the integer comparison
@@ -235,18 +238,21 @@ def eval_product(
     * pruned mass, at most u * (H_Nk + (L+1)/2): the skipped factors of
       column k carry at most (cut + delta) M / k, with cut * M <= u and the
       test's error delta <= 2 eps (M |Y|^k + k), below half the cut;
-    * logs (within one ulp), divisions and the compensated sum, at most
-      5u * S, since sum_k |log P_k|/k <= sum |log(1 - |T|)|/k = S;
-    * the axis term, at most u * (S + 3 |log(1-Y)| + 2/(1-|Y|)): 1 - Y is
-      formed from Y rounded at p + GUARD_BITS, and the subtraction cancels
-      up to log2(1/(1-Y)) of its bits.
+    * logs (within one ulp), divisions and the one rounding of the sum, at
+      most 4u * S, since sum_k |log P_k|/k <= sum |log(1 - |T|)|/k = S.
+      mp.fsum drops a term, or its running sum, only when it lies more than
+      2 (p + GUARD_BITS) bits below the other, so at most Nk drops lose
+      Nk u^2 S, second order in u;
+    * the axis term, at most u * (S + 3 |log(1-Y)| + 1): the rounding of
+      the exact 1 - Y (u), the log's ulp (2u |log(1-Y)|) and the final
+      addition (u (S + |log(1-Y)|)); nothing cancels.
 
-    The total u * (2 H_Nk + 1 + L + 6S + 3 |log(1-Y)| + 2/(1-|Y|)) is
-    below 2^-(p+8) = 2^24 u whenever S < 2^21 and |Y| <= 1 - 2^-20, as
-    |log(1-Y)| <= L (H_Nk < 32 for any box a point budget admits; S < 2^18
-    for |X|, |Y| <= 1 - 2^-14).  That is well inside
-    the 2^(-p+16) precision slack the transform verdicts allow.  X = 0 skips
-    every column and gives log_value == 0 exactly in the strict convention.
+    The total u * (2 H_Nk + 2 + L + 5S + 3 |log(1-Y)|) is below
+    2^-(p+8) = 2^24 u whenever S + L < 2^21, as |log(1-Y)| <= L (H_Nk < 32
+    for any box a point budget admits; S + L < 2^18 for
+    |X|, |Y| <= 1 - 2^-14).  That is well inside the 2^(-p+16) precision
+    slack the transform verdicts allow.  X = 0 skips every column and gives
+    log_value == 0 exactly in the strict convention.
     """
     X, Y = check_unit("X", X), check_unit("Y", Y)
     check_box(Nj, Nk)
@@ -284,15 +290,8 @@ def eval_product(
                     c_exp += sh - P
             columns.append((k, mp.mpf((c, c_exp))))
     with mp.workprec(prec):
-        total = mp.mpf(0)
-        comp = mp.mpf(0)
-        for k, column in columns:
-            term = log(column) / k
-            yy = term - comp
-            tt = total + yy
-            comp = (tt - total) - yy
-            total = tt
-        axis_log = log(1 - _mpf_q(Y))
+        total = mp.fsum(log(column) / k for k, column in columns)
+        axis_log = log(_mpf_q(1 - Y))
         if convention is Convention.AXIS:
             total = total + axis_log
         log_value = sign * total

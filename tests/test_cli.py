@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from xyyx.cli import build_parser, main, mpf_hex, parse_rational, render_fraction
+from xyyx.cli import build_parser, main, mpf_hex, parse_rational
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,7 +64,7 @@ class TestParsing:
         rng = random.Random(3)
         for _ in range(100):
             q = F(rng.randrange(-999, 1000), rng.randrange(1, 1000))
-            assert parse_rational(render_fraction(q)) == q
+            assert parse_rational(str(q)) == q
 
     def test_hex_rendering(self):
         from mpmath import mp
@@ -157,6 +157,26 @@ class TestDigits:
     def test_non_integer_family_is_error(self, capsys):
         code, doc = run_json(capsys, "digits", "1", "1")
         assert code == 1 and doc["status"] == "error"
+
+    @pytest.mark.parametrize(
+        "b,c,bits", [(26, 26, 256), (30, 30, 256), (60, 60, 256), (20, 20, 64)]
+    )
+    def test_leading_digits_of_large_values(self, capsys, b, c, bits):
+        # log10 of the common value x^y y^x has up to 718 integer bits here;
+        # the reference takes it from the integers y = b^c c^b, x = y/(b+c)
+        from mpmath import mp
+
+        y = b**c * c**b
+        x = y // (b + c)
+        with mp.workprec(4000):
+            log10 = y * mp.log10(x) + x * mp.log10(y)
+            whole = int(mp.floor(log10))
+            lead = mp.power(10, log10 - whole)
+            expected = mp.nstr(lead, 6), f"{mp.nstr(lead, 4)}e+{whole}"
+        _, doc = run_json(capsys, "digits", str(b), str(c), "--precision", str(bits))
+        res = doc["results"]
+        assert res["digits"] == whole + 1
+        assert (res["leading_digits"], res["scientific"]) == expected
 
 
 class TestVpvEval:

@@ -146,8 +146,18 @@ class TestEvalProduct:
             ra = eval_product(F(1, 3), F(2, 5), 40, 40, 128, AXIS, form)
             rs = eval_product(F(1, 3), F(2, 5), 40, 40, 128, STRICT, form)
             with mp.workprec(128 + GUARD_BITS):
-                expected = rs.log_value + sign * mp.log(1 - mpf_q(F(2, 5)))
+                expected = rs.log_value + sign * mp.log(mpf_q(1 - F(2, 5)))
             assert ra.log_value == expected
+
+    def test_axis_factor_beyond_working_precision(self):
+        # 1 - Y = 3^-70 is below half the ulp of 1 at p + GUARD_BITS bits,
+        # so forming it from Y rounded first gave log(0)
+        Y = 1 - F(1, 3**70)
+        r = eval_product(F(0), Y, 5, 5, 64, AXIS, DIRECT)
+        cf = closed_form(F(0), Y, AXIS, DIRECT, 64)
+        with mp.workprec(200):
+            assert abs(r.log_value + 70 * mp.log(3)) < mp.ldexp(1, -80)
+            assert abs(cf * 3**70 - 1) < mp.ldexp(1, -80)
 
     def test_report_metadata(self):
         r = eval_product(F(1, 2), F(1, 2), 10, 20, 128, STRICT, DIRECT)
@@ -309,13 +319,13 @@ class TestColumnProductAgreement:
 
 def derived_budget(X, Y, Nj, Nk, precision_bits):
     """eval_product's a-priori error budget, evaluated for one case:
-    u (2 H_Nk + 1 + L + 6S + 3 |log(1-Y)| + 2/(1-|Y|)), u = 2^-(p+32)."""
+    u (2 H_Nk + 2 + L + 5S + 3 |log(1-Y)|), u = 2^-(p+32)."""
     with mp.workprec(precision_bits + 3 * GUARD_BITS):
         ax, ay = mpf_q(abs(X)), mpf_q(abs(Y))
         H = mp.fsum(mp.mpf(1) / k for k in range(1, Nk + 1))
         L = -mp.log(1 - ay)
         S = ax / (1 - ax) * L
-        total = 2 * H + 1 + L + 6 * S + 3 * abs(mp.log(1 - mpf_q(Y))) + 2 / (1 - ay)
+        total = 2 * H + 2 + L + 5 * S + 3 * abs(mp.log(mpf_q(1 - Y)))
         return mp.ldexp(total, -(precision_bits + GUARD_BITS))
 
 
