@@ -29,11 +29,11 @@ import re
 import sys
 from fractions import Fraction
 
-from mpmath import iv, mp
+from mpmath import mp
 
 from . import __version__
 from .errors import NonIntegerValue, NonPositiveParameter
-from .exact import check_precision, digit_count, iv_precision, log_interval
+from .exact import check_precision, digit_count, log10_interval
 from .solutions import (
     classify_triviality,
     euler_solution,
@@ -216,13 +216,9 @@ def cmd_digits(args) -> dict:
         )
     common = quad_identity(t).left
     digits = digit_count(common)
-    # log10 u has digits.bit_length() integer bits, so its enclosure is taken
-    # that much wider to keep p bits below the point for the mantissa; this
-    # width may pass the precision ceiling, which log10_interval would refuse
-    wide = args.precision + digits.bit_length()
-    with iv_precision(wide):
-        enc = log_interval(common, iv.log(iv.mpf(10)))
-    with mp.workprec(wide + 8):
+    enc = log10_interval(common, args.precision)
+    # log10 u has digits.bit_length() integer bits; mid keeps p + 8 below the point
+    with mp.workprec(args.precision + digits.bit_length() + 8):
         mid = (mp.mpf(enc.a) + mp.mpf(enc.b)) / 2
         lead = mp.power(10, mid - (digits - 1))
     with mp.workprec(args.precision + 8):

@@ -274,42 +274,42 @@ def log_interval(u: PrimePowerProduct, unit=1):
     return total
 
 
+def _whole_bits(u: PrimePowerProduct) -> int:
+    """Bits of sum((|e_p| + 1) * bitlen(p)), a bound on |log10 u| as log10 p < bitlen(p)."""
+    return sum((int(abs(e)) + 1) * p.bit_length() for p, e in u.factors).bit_length()
+
+
 def log10_interval(u: PrimePowerProduct, precision_bits: int = 256):
     """Rigorous enclosure of log10(u) as an mpmath interval.
 
-    The returned interval is guaranteed to contain sum(e_p * log10(p)); its
-    width shrinks as precision_bits grows.
+    precision_bits counts the bits below the point: the enclosure is taken
+    precision_bits + _whole_bits(u) wide, so its width is near 2^-precision_bits.
     """
     check_precision(precision_bits)
-    with iv_precision(precision_bits):
+    with iv_precision(precision_bits + _whole_bits(u)):
         return log_interval(u, iv.log(iv.mpf(10)))
 
 
 def digit_count(u: PrimePowerProduct) -> int:
-    """Number of base-10 digits of an integer-valued product.
+    """Number of base-10 digits of an integer-valued product, never multiplied out.
 
-    Widens the log10 enclosure (256 up to 8192 bits) until it pins down
-    floor(log10 u); if the enclosure still straddles a power of ten, settles
-    it with one exact big-integer comparison.
+    Doubles the bits below the point of log10_interval, from 64, until the
+    floors of both ends, read at its full width, agree.  If they straddle k,
+    u = 10^k is read off the exponent vector; any other integer has an
+    irrational log10, so widening ends, or check_precision refuses.
     """
     for p, e in u.factors:
         if e.denominator != 1 or e < 0:
             raise NonIntegerValue(f"not an integer value: {p}^({e})")
     if not u.factors:
         return 1
-    k = None
-    bits = 256
-    while bits <= 8192:
+    bits = 64
+    while True:
         enc = log10_interval(u, bits)
-        with mp.workprec(bits + 8):
-            lo = mp.floor(mp.mpf(enc.a))
-            hi = mp.floor(mp.mpf(enc.b))
-            if lo == hi:
-                return int(lo) + 1
-            k = int(hi)
+        with mp.workprec(bits + _whole_bits(u) + 8):
+            lo, hi = (int(mp.floor(mp.mpf(end))) for end in (enc.a, enc.b))
+        if lo == hi:
+            return lo + 1
+        if u.factors == ((2, hi), (5, hi)):
+            return hi + 1
         bits *= 2
-    # log10(u) straddles the integer k at every precision tried; compare exactly
-    n = 1
-    for p, e in u.factors:
-        n *= p ** int(e)
-    return k + 1 if n >= 10**k else k

@@ -167,12 +167,11 @@ def tail_bound(
     check_box(Nj, Nk)
     ax, ay = abs(X), abs(Y)
     with iv_precision(128):
-        xm = iv.mpf(ax.numerator) / iv.mpf(ax.denominator)
-        ym = iv.mpf(ay.numerator) / iv.mpf(ay.denominator)
-        one = iv.mpf(1)
-        col = ym ** (Nk + 1) / ((Nk + 1) * (one - ym))
-        bound = xm ** (Nj + 1) / (one - xm) * iv.log(one / (one - ym))
-        bound += xm / (one - xm) * col
+        # 1 - |X| and 1 - |Y| are exact Fractions first, so they never round to 0
+        xm, ym, rx, ry = (iv.mpf(q.numerator) / iv.mpf(q.denominator) for q in (ax, ay, 1 - ax, 1 - ay))
+        col = ym ** (Nk + 1) / ((Nk + 1) * ry)
+        bound = xm ** (Nj + 1) / rx * -iv.log(ry)
+        bound += xm / rx * col
         if convention is Convention.AXIS:
             bound += col
         with mp.workprec(160):

@@ -159,16 +159,18 @@ class TestDigits:
         assert code == 1 and doc["status"] == "error"
 
     @pytest.mark.parametrize(
-        "b,c,bits", [(26, 26, 256), (30, 30, 256), (60, 60, 256), (20, 20, 64)]
+        "b,c,bits",
+        [(26, 26, 256), (30, 30, 256), (60, 60, 256), (20, 20, 64), (500, 500, 256)],
     )
     def test_leading_digits_of_large_values(self, capsys, b, c, bits):
-        # log10 of the common value x^y y^x has up to 718 integer bits here;
-        # the reference takes it from the integers y = b^c c^b, x = y/(b+c)
+        # log10 of the common value x^y y^x has up to about 8980 integer bits
+        # here (b = c = 500); the reference takes it from the integers
+        # y = b^c c^b, x = y/(b+c) at 10000 bits, over 1000 below the point
         from mpmath import mp
 
         y = b**c * c**b
         x = y // (b + c)
-        with mp.workprec(4000):
+        with mp.workprec(10000):
             log10 = y * mp.log10(x) + x * mp.log10(y)
             whole = int(mp.floor(log10))
             lead = mp.power(10, log10 - whole)
@@ -204,6 +206,14 @@ class TestVpvEval:
         )
         # exactly one; nstr prints small exact integers without an exponent
         assert doc["results"]["product_value"]["dec"] == "1.0"
+
+    def test_y_within_2_pow_minus_128_of_one(self, capsys):
+        Y = f"{3**100 - 1}/{3**100}"
+        code, doc = run_json(
+            capsys, "vpv-eval", "0", Y, "--truncation", "5", "--precision", "64"
+        )
+        assert code == 0 and doc["status"] == "ok", doc["message"]
+        assert doc["results"]["tail_bound"]["dec"].endswith("e+46")
 
     def test_domain_violation(self, capsys):
         code, doc = run_json(capsys, "vpv-eval", "3/2", "1/2")

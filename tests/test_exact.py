@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from xyyx import exact
 from xyyx.errors import (
     FactorizationBudgetExceeded,
     NonIntegerValue,
@@ -225,11 +226,24 @@ class TestDigitCount:
             assert digit_count(PPP(((2, F(k)),))) == len(str(2**k)), k
 
     def test_exact_powers_of_ten(self):
-        # log10 is an exact integer: the enclosure always straddles it and the
-        # big-integer fallback has to settle the count
-        for k in (1, 5, 30):
+        # log10 is an exact integer: the enclosure always straddles it, and the
+        # count is settled on the exponent vector, never by building 10^k
+        for k in (1, 5, 30, 1000, 10**6):
             u = PPP(((2, F(k)), (5, F(k))))
             assert digit_count(u) == k + 1
+
+    def test_near_power_of_ten_widens(self, monkeypatch):
+        # log10(10^22 - 1) = 22 - 1.9e-23: the first enclosure, 64 bits below
+        # the point, straddles 22, and a wider one pins the count
+        widths = []
+
+        def spy(u, precision_bits):
+            widths.append(precision_bits)
+            return log10_interval(u, precision_bits)
+
+        monkeypatch.setattr(exact, "log10_interval", spy)
+        assert digit_count(PPP.from_int(10**22 - 1)) == 22
+        assert widths == [64, 128]
 
     def test_rejects_non_integer_values(self):
         with pytest.raises(NonIntegerValue):

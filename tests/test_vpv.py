@@ -380,6 +380,14 @@ class TestTailBound:
                 assert b <= prev
             prev = b
 
+    def test_y_within_2_pow_minus_128_of_one(self):
+        # 1 - Y = 3^-100 rounds to 0 from a 128-bit enclosure of Y; the bound
+        # is the K > 5 axis column Y^6 / (6 (1 - Y)), about 3^100 / 6
+        Y = F(3**100 - 1, 3**100)
+        b = tail_bound(F(0), Y, 5, 5, AXIS)
+        assert mp.isfinite(b)
+        assert abs(b / (mp.mpf(3**100) / 6) - 1) < 1e-9
+
     def test_axis_at_least_strict(self):
         a = tail_bound(F(1, 3), F(1, 2), 30, 30, AXIS)
         s = tail_bound(F(1, 3), F(1, 2), 30, 30, STRICT)
