@@ -9,6 +9,7 @@ from .errors import (
     NonIntegralExponent,
     NonPositiveParameter,
     NonRationalTuple,
+    OversizedValue,
     PointBudgetExceeded,
 )
 from .exact import ONE, PrimePowerProduct, digit_count, factorize, is_prime, log10_interval

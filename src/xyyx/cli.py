@@ -14,9 +14,11 @@ verdict instead of a numeric one.
 Every command emits a result record {command, inputs, results, status,
 message}; --json prints it as a single JSON document, otherwise as aligned
 human-readable lines with the same numeric content.  Exit code is 0 unless
-status is "error".  Rationals are read as "p/q" or "p" (no decimals), and
-high-precision reals are rendered both in scientific decimal and as bit-exact
-hex floats.
+status is "error".  Rationals are read as "p/q" or "p" (no decimals).
+Handlers return the values they computed and main renders each record once:
+rationals and prime-power products as strings, high-precision reals in
+scientific decimal and as bit-exact hex floats, and a value past the
+interpreter's int-to-str digit limit as an error naming its field.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ import json
 import os
 import re
 import sys
+from enum import Enum
 from fractions import Fraction
 
 from mpmath import mp
 
 from . import __version__
-from .errors import NonIntegerValue, NonPositiveParameter
-from .exact import check_precision, digit_count, log10_interval
+from .errors import NonIntegerValue, NonPositiveParameter, OversizedValue
+from .exact import PrimePowerProduct, check_precision, digit_count, log10_interval
 from .solutions import (
     classify_triviality,
     euler_solution,
@@ -53,7 +56,7 @@ from .transforms import (
     verify_pair_transform,
     verify_quad_transform,
 )
-from .vpv import Convention, Form, eval_product
+from .vpv import Convention, EvalReport, Form, eval_product
 
 PRECISION_ENV = "VPV_PRECISION_BITS"
 DEFAULT_PRECISION = 256
@@ -86,19 +89,38 @@ def render_real(x, precision_bits: int) -> dict:
     return {"dec": mp.nstr(x, digits, min_fixed=1, max_fixed=1), "hex": mpf_hex(x)}
 
 
-def _eval_report_payload(report, precision_bits: int) -> dict:
-    r = lambda v: render_real(v, precision_bits)
-    return {
-        "product_value": r(report.product_value),
-        "log_value": r(report.log_value),
-        "closed_form_value": r(report.closed_form_value),
-        "abs_log_diff": r(report.abs_log_diff),
-        "tail_bound": r(report.tail_bound),
-        "truncation": list(report.truncation),
-        "precision_bits": report.precision_bits,
-        "convention": report.convention.value,
-        "form": report.form.value,
-    }
+def _printable(value, path: str):
+    """An int as itself, a Fraction or product as its string.
+
+    Past the int-to-str digit limit this raises OversizedValue naming path;
+    ints are tried here, as json.dumps in emit would raise outside main's try.
+    """
+    limit = sys.get_int_max_str_digits()
+    try:
+        if not isinstance(value, int):
+            return str(value)
+        if value.bit_length() > 3 * limit:  # 3 * limit bits hold fewer than limit digits
+            str(value)
+        return value
+    except ValueError:
+        raise OversizedValue(f"{path} has more than {limit} decimal digits") from None
+
+
+def _render(value, precision_bits: int | None, path: str = ""):
+    """The record form of a computed value; an mpf goes through render_real."""
+    if isinstance(value, Enum):  # before str: Convention and Form subclass it
+        return value.value
+    if value is None or isinstance(value, (str, bool)):
+        return value
+    if isinstance(value, (int, Fraction, PrimePowerProduct)):
+        return _printable(value, path)
+    if isinstance(value, EvalReport):  # field by field, at its own precision
+        value, precision_bits = vars(value), value.precision_bits
+    if isinstance(value, dict):
+        return {k: _render(v, precision_bits, f"{path}.{k}" if path else k) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_render(v, precision_bits, f"{path}[{i}]") for i, v in enumerate(value)]
+    return render_real(value, precision_bits)
 
 
 def _flat(prefix: str, value, lines: list[str]) -> None:
@@ -155,25 +177,18 @@ def _result(command: str, inputs: dict, results: dict, status: str = "ok", messa
 def cmd_euler(args) -> dict:
     if args.n_max < 1:
         raise NonPositiveParameter("n_max must be >= 1")
+    euler_solution(args.n_max)  # refuses an n_max too large to print before the first row
     rows = []
     for n in range(1, args.n_max + 1):
         x, y = euler_solution(n)
-        rows.append(
-            {
-                "n": n,
-                "x": str(x),
-                "y": str(y),
-                "verified": verify_power_equation(x, y),
-            }
-        )
+        rows.append({"n": n, "x": x, "y": y, "verified": verify_power_equation(x, y)})
     return _result("euler", {"n_max": args.n_max}, {"solutions": rows})
 
 
 def _tuple_payload(t, verified: bool, mode: str) -> dict:
     verdict = classify_triviality(t)
     values = {
-        name: str(u.to_fraction()) if u.is_rational else str(u)
-        for name, u in zip("xyvw", t.values())
+        name: u.to_fraction() if u.is_rational else u for name, u in zip("xyvw", t.values())
     }
     return {
         **values,
@@ -190,7 +205,7 @@ def cmd_family(args) -> dict:
         t = rational_family(args.b, args.c)
     else:
         a = parse_rational(args.a)
-        inputs["a"] = str(a)
+        inputs["a"] = a
         t = general_solution(a, Fraction(args.b), Fraction(args.c))
     if t.is_rational:
         payload = _tuple_payload(t, verify_product_equation(t), "exact")
@@ -204,7 +219,7 @@ def cmd_verify(args) -> dict:
     vals = [parse_rational(s) for s in (args.x, args.y, args.v, args.w)]
     t = manual_tuple(*vals)
     payload = _tuple_payload(t, verify_product_equation(t), "exact")
-    inputs = dict(zip("xyvw", (str(q) for q in vals)))
+    inputs = dict(zip("xyvw", vals))
     return _result("verify", inputs, payload)
 
 
@@ -215,7 +230,7 @@ def cmd_digits(args) -> dict:
             f"family ({args.b}, {args.c}) is not integer-valued: x = {t.x}"
         )
     common = quad_identity(t).left
-    digits = digit_count(common)
+    digits = _printable(digit_count(common), "results.digits")  # scientific prints it below
     enc = log10_interval(common, args.precision)
     # log10 u has digits.bit_length() integer bits; mid keeps p + 8 below the point
     with mp.workprec(args.precision + digits.bit_length() + 8):
@@ -224,9 +239,9 @@ def cmd_digits(args) -> dict:
     with mp.workprec(args.precision + 8):
         mid = +mid  # the log10 field keeps its p + 8 bits
     results = {
-        "common_value": str(common),
+        "common_value": common,
         "digits": digits,
-        "log10": render_real(mid, args.precision),
+        "log10": mid,
         "leading_digits": mp.nstr(lead, 6),
         "scientific": f"{mp.nstr(lead, 4)}e+{digits - 1}",
     }
@@ -247,30 +262,14 @@ def cmd_vpv_eval(args) -> dict:
         Form(args.form),
     )
     inputs = {
-        "X": str(X),
-        "Y": str(Y),
+        "X": X,
+        "Y": Y,
         "truncation": args.truncation,
         "precision_bits": args.precision,
         "convention": args.convention,
         "form": args.form,
     }
-    return _result("vpv-eval", inputs, _eval_report_payload(report, args.precision))
-
-
-def _transform_payload(report, precision_bits: int) -> dict:
-    payload: dict = {}
-    if report.warning is not None:
-        payload["warning"] = report.warning
-        payload["exact_verdict"] = report.exact_verdict
-        payload["combined_bound"] = render_real(report.combined_bound, precision_bits)
-        payload["feasible_truncation"] = report.feasible_truncation
-        return payload
-    payload["verdict"] = report.verdict
-    payload["abs_log_diff"] = render_real(report.abs_log_diff, precision_bits)
-    payload["combined_bound"] = render_real(report.combined_bound, precision_bits)
-    payload["left"] = _eval_report_payload(report.left, precision_bits)
-    payload["right"] = _eval_report_payload(report.right, precision_bits)
-    return payload
+    return _result("vpv-eval", inputs, report)
 
 
 def cmd_transform(args) -> dict:
@@ -285,18 +284,20 @@ def cmd_transform(args) -> dict:
     else:
         a, b, c = (parse_rational(s) for s in args.abc)
         inst = quad_from_family(a, b, c)
-        inputs = {"a": str(a), "b": str(b), "c": str(c)}
+        inputs = {"a": a, "b": b, "c": c}
         verify = verify_quad_transform
     report = verify(
         inst, args.truncation, precision_bits=args.precision, convention=Convention(args.convention)
     )
-    status, message = "ok", ""
+    # the TransformReport fields the record shows: the numeric comparison's or the fallback's
+    status, message, shown = "ok", "", ("verdict", "abs_log_diff", "combined_bound", "left", "right")
     if report.warning is not None:
         status = "warning"
         message = (
             "tail bound cannot reach tolerance at this truncation; "
             "falling back to the exact scalar identity"
         )
+        shown = ("warning", "exact_verdict", "combined_bound", "feasible_truncation")
     inputs.update(
         {
             "truncation": args.truncation,
@@ -306,11 +307,9 @@ def cmd_transform(args) -> dict:
     )
     results = {
         "kind": inst.kind,
-        "parameters": {
-            name: str(q) for name, q in zip("XYVW", inst.parameters())
-        },
+        "parameters": dict(zip("XYVW", inst.parameters())),
         "exact_closed_equality": report.exact_verdict,
-        "numeric": _transform_payload(report, args.precision),
+        "numeric": {name: getattr(report, name) for name in shown},
     }
     return _result("transform", inputs, results, status, message)
 
@@ -324,10 +323,7 @@ def cmd_search(args) -> dict:
             {
                 "b": int(b),
                 "c": int(c),
-                **{
-                    name: str(u.to_fraction())
-                    for name, u in zip("xyvw", t.values())
-                },
+                **{name: u.to_fraction() for name, u in zip("xyvw", t.values())},
                 "verified": verify_product_equation(t),
             }
         )
@@ -447,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.precision is None:
                 args.precision = _env_precision()
             check_precision(args.precision)
-        result = args.func(args)
+        result = _render(args.func(args), getattr(args, "precision", None))
     except ValueError as exc:  # every error class in errors.py is one
         result = _result(args.command, {}, {}, status="error", message=str(exc))
     return emit(result, args.json)

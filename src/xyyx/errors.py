@@ -31,3 +31,7 @@ class PointBudgetExceeded(ValueError):
 
 class FactorizationBudgetExceeded(ValueError):
     """Brent's rho ran out of steps before splitting a composite."""
+
+
+class OversizedValue(ValueError):
+    """A value has more decimal digits than the interpreter converts to a string."""

@@ -7,6 +7,7 @@ because logarithms of distinct primes are linearly independent over Q.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 from mpmath import iv, mp
 
-from .errors import DegenerateParameters, NonPositiveParameter, NonRationalTuple
+from .errors import DegenerateParameters, NonPositiveParameter, NonRationalTuple, OversizedValue
 from .exact import ONE, PrimePowerProduct, check_precision, iv_precision, log_interval
 
 
@@ -79,9 +80,21 @@ class TrivialityVerdict:
 
 
 def euler_solution(n: int) -> tuple[Fraction, Fraction]:
-    """The n-th rational solution of x^y = y^x: x = (1+1/n)^n, y = (1+1/n)^(n+1)."""
+    """The n-th rational solution of x^y = y^x: x = (1+1/n)^n, y = (1+1/n)^(n+1).
+
+    Refuses, before building it, an n whose y has a numerator (n+1)^(n+1)
+    with more decimal digits than the interpreter converts to a string
+    (sys.get_int_max_str_digits(); n >= 1370 at the default 4300).
+    """
     if n < 1:
         raise NonPositiveParameter(f"n must be >= 1, got {n}")
+    m, limit = n + 1, sys.get_int_max_str_digits()
+    # m^m < 2^(3 limit) < 10^limit needs no test; m >= 4 limit gives m^m > 16^limit
+    if limit and m.bit_length() * m > 3 * limit and (m >= 4 * limit or m**m >= 10**limit):
+        raise OversizedValue(
+            f"n = {n} is too large: the numerator of y = ((n+1)/n)^(n+1) "
+            f"has more than {limit} decimal digits"
+        )
     base = Fraction(n + 1, n)
     return base**n, base ** (n + 1)
 

@@ -349,24 +349,22 @@ def log_double_series(
 def exact_regroup_check(X: Fraction, Y: Fraction, NJ: int, NK: int) -> bool:
     """Termwise regrouping identity on truncations, in exact rationals.
 
-    Compares sum over coprime (j,k) and m >= 1 with jm <= NJ, km <= NK of
+    Compares sum over the strict visible points (j,k) of the box
+    (visible_points) and m >= 1 with jm <= NJ, km <= NK of
     (1/k) (X^j Y^k)^m / m against sum over the box of X^J Y^K / K.  This is a
     formal power-series identity, valid for any rational X, Y (convergence is
     irrelevant), and must never fail.
     """
     X, Y = Fraction(X), Fraction(Y)
-    gcd = math.gcd
     lhs = Fraction(0)
-    for j in range(1, NJ + 1):
-        for k in range(1, NK + 1):
-            if gcd(j, k) == 1:
-                base = X**j * Y**k
-                power = base
-                m = 1
-                while j * m <= NJ and k * m <= NK:
-                    lhs += power / (k * m)
-                    power *= base
-                    m += 1
+    for j, k in visible_points(NJ, NK, Convention.STRICT):
+        base = X**j * Y**k
+        power = base
+        m = 1
+        while j * m <= NJ and k * m <= NK:
+            lhs += power / (k * m)
+            power *= base
+            m += 1
     rhs = Fraction(0)
     for J in range(1, NJ + 1):
         xj = X**J

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from xyyx.cli import build_parser, main, mpf_hex, parse_rational
+from xyyx.cli import _render, build_parser, main, mpf_hex, parse_rational
+from xyyx.errors import OversizedValue
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,6 +29,19 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, argv[0], "--json", *argv[1:])
     return code, json.loads(out)
+
+
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports xyyx from src/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_child(script: str, *args: str) -> subprocess.CompletedProcess:
+    """python -c script in a fresh interpreter; the timeout fails a hang instead of waiting on it."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, timeout=60, env=child_env()
+    )
 
 
 class TestParsing:
@@ -88,6 +102,23 @@ class TestEuler:
         assert code == 1
         assert doc["status"] == "error"
         assert "n_max" in doc["message"]
+
+    @pytest.mark.parametrize("argv", [("euler", "3000"), ("transform", "--n", "100000")])
+    def test_index_too_large_to_print_is_refused_at_once(self, argv):
+        script = (
+            "import sys, time\n"
+            "from xyyx.cli import main\n"
+            "t0 = time.perf_counter()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(time.perf_counter() - t0, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = run_child(script, argv[0], "--json", *argv[1:])
+        assert float(proc.stderr) < 1.0
+        doc = json.loads(proc.stdout)
+        assert proc.returncode == 1 and doc["status"] == "error"
+        assert doc["message"].startswith(f"n = {argv[-1]} is too large")
+        assert f"more than {sys.get_int_max_str_digits()} decimal digits" in doc["message"]
 
 
 class TestFamily:
@@ -179,6 +210,24 @@ class TestDigits:
         res = doc["results"]
         assert res["digits"] == whole + 1
         assert (res["leading_digits"], res["scientific"]) == expected
+
+
+class TestOversizedValues:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [(("family", "1000", "1000"), "results.x"), (("digits", "1000", "1000"), "results.digits")],
+    )
+    def test_record_names_the_field(self, capsys, argv, field):
+        code, doc = run_json(capsys, *argv)
+        assert code == 1 and doc["status"] == "error"
+        assert doc["message"] == f"{field} has more than {sys.get_int_max_str_digits()} decimal digits"
+        assert "set_int_max_str_digits" not in doc["message"]
+
+    def test_render_tries_ints(self):
+        limit = sys.get_int_max_str_digits()
+        assert _render({"results": {"n": 10 ** (limit - 1)}}, None) == {"results": {"n": 10 ** (limit - 1)}}
+        with pytest.raises(OversizedValue, match=rf"^results\.rows\[1\]\.n has more than {limit} "):
+            _render({"results": {"rows": [{"n": 1}, {"n": 10**limit}]}}, None)
 
 
 class TestVpvEval:
@@ -375,12 +424,11 @@ class TestOutputModes:
 
     def test_closed_stdout_ends_without_traceback(self):
         # over 1 MB of output, more than any default pipe buffer holds
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "xyyx", "search", "200", "200"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert proc.stdout.readline().startswith(b"command: search")
         proc.stdout.close()
@@ -452,3 +500,22 @@ def parser_flags() -> dict[str, set[str]]:
 
 def test_readme_flag_table_matches_the_parser():
     assert readme_flags() == parser_flags()
+
+
+def test_only_declared_runtime_dependencies_load():
+    # the dev extras are installed wherever the tests run, so importing one of
+    # them under src/ would otherwise pass unnoticed
+    script = (
+        "import contextlib, io, json, sys\n"
+        "before = {name.partition('.')[0] for name in sys.modules}\n"
+        "import xyyx\n"
+        "from xyyx.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['euler', '2', '--json'])\n"
+        "print(json.dumps(sorted({name.partition('.')[0] for name in sys.modules} - before)))\n"
+    )
+    proc = run_child(script)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert {"xyyx", "mpmath"} <= loaded
+    assert loaded - sys.stdlib_module_names <= {"xyyx", "mpmath", "gmpy2"}

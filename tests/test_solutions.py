@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from xyyx.errors import DegenerateParameters, NonPositiveParameter, NonRationalTuple
+from xyyx.errors import DegenerateParameters, NonPositiveParameter, NonRationalTuple, OversizedValue
 from xyyx.exact import ONE, PrimePowerProduct
 from xyyx.solutions import (
     classify_triviality,
@@ -53,6 +54,18 @@ class TestEulerSolution:
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveParameter):
             euler_solution(0)
+
+    def test_refuses_an_index_too_large_to_print(self):
+        # 1370^1370 has 4298 digits and 1371^1371 has 4301; 10^400 would overflow a float
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert len(str(euler_solution(1369)[1].numerator)) == 4298
+            for n in (1370, 10**400):
+                with pytest.raises(OversizedValue, match="more than 4300 decimal digits"):
+                    euler_solution(n)
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 class TestVerifyPowerEquation:
