@@ -23,7 +23,7 @@ from .errors import (
     NonPositiveParameter,
 )
 
-_TRIAL_LIMIT = 10**6
+_TRIAL_LIMIT = 1 << 12
 _RHO_STEPS = 1 << 20  # rho iterations per factorize call; see factorize
 
 # Witness set is deterministic for n < 3.3 * 10^24 (far beyond anything the
@@ -98,52 +98,145 @@ def _brent_rho(n: int, rng: random.Random, steps: int) -> tuple[int, int]:
             return g, steps
 
 
-def _factor_hard(n: int, out: dict[int, int], steps: int) -> int:
-    """Count the prime factors of n in out; returns the rho steps left."""
+def _strip(m: int, p: int) -> tuple[int, int]:
+    """m with every factor p divided out, and the exponent of p in m.
+
+    Divides by p once, strips p^2 the same way, then divides by p once
+    more if it can: exponent e costs about 2 log2(e) divisions, not e.
+    """
+    q, r = divmod(m, p)
+    if r:
+        return m, 0
+    m, e = _strip(q, p * p)
+    q, r = divmod(m, p)
+    return (m, 2 * e + 1) if r else (q, 2 * e + 2)
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1 and k >= 2, by Newton's method from above.
+
+    The start is the root of n's top half, rounded up, so a few steps do.
+    """
+    b = n.bit_length() // k
+    if b < 52:
+        x = int(math.exp(math.log(n) / k) * (1 + 2**-30)) + 1
+    else:
+        s = b // 2
+        x = (_iroot(n >> (k * s), k) + 1) << s
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n: int, f: int) -> tuple[int, int]:
+    """(r, k) with n = r^k and k largest, for n whose primes are all >= f.
+
+    Such an n = r^k has k <= log(n)/log(f), so only the prime k up to that
+    bound are tried, each until n is not a k-th power.
+    """
+    k_all = 1
+    k = 2
+    while n.bit_length() > k * (f.bit_length() - 1):
+        if all(k % j for j in range(2, math.isqrt(k) + 1)):
+            r = math.isqrt(n) if k == 2 else _iroot(n, k)
+            if r**k == n:
+                n, k_all = r, k_all * k
+                continue
+        k += 1
+    return n, k_all
+
+
+def _trial_divide(m: int, e: int, f: int, limit: int, out: dict[int, int]) -> tuple[int, int]:
+    """Strip the candidates f, f + 4, f + 6, f + 10, ... below limit from m.
+
+    The candidates are 6k+1 and 6k+5 from f = 6k+1, and e times each prime's
+    exponent goes to out.  Stops early once f^2 > m, so every prime of what
+    is left is >= the f returned with it.
+    """
+    while f * f <= m and f < limit:
+        for p in (f, f + 4):
+            if m % p == 0:
+                m, j = _strip(m, p)
+                out[p] = out.get(p, 0) + e * j
+        f += 6
+    return m, f
+
+
+def _factor_hard(n: int, e: int, f: int, out: dict[int, int], steps: int) -> int:
+    """Add e times the exponents of n's primes, all >= f >= _TRIAL_LIMIT, to out.
+
+    n is reduced to its root if it is a perfect power.  Trial division then
+    runs on from f for bitlen(n)^2 / 32 more, which costs about as much as
+    one Miller-Rabin round on n (measured at 1024 to 8192 bits), in doubling
+    ranges; a range that strips a prime sends what is left back here.  So
+    trial division never costs much more than the primality tests it
+    spares, and a huge n sheds its middling primes before is_prime and rho.
+    Every prime rho brings out is stripped from n whole.  Returns the rho
+    steps left.
+    """
     if n == 1:
         return steps
-    if is_prime(n):
-        out[n] = out.get(n, 0) + 1
+    n, k = _perfect_power(n, f)
+    e *= k
+    limit = f + (n.bit_length() ** 2 >> 5)
+    while f < limit and f * f <= n:
+        m, f = _trial_divide(n, e, f, min(2 * f, limit), out)
+        if m < n:
+            return _factor_hard(m, e, f, out, steps)
+    if f * f > n or is_prime(n):
+        out[n] = out.get(n, 0) + e
         return steps
     d, steps = _brent_rho(n, random.Random(n), steps)
-    steps = _factor_hard(d, out, steps)
-    return _factor_hard(n // d, out, steps)
+    primes: dict[int, int] = {}
+    steps = _factor_hard(d, 1, f, primes, steps)
+    for p in primes:
+        n, j = _strip(n, p)
+        out[p] = out.get(p, 0) + e * j
+    return _factor_hard(n, e, f, out, steps)
 
 
 def factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 1 as (prime, exponent) pairs, primes ascending.
 
-    Trial division up to 10^6, then Brent's rho for any remaining cofactor;
-    m = 1 gives the empty list.
+    Trial division below _TRIAL_LIMIT = 2^12, then _factor_hard for any
+    remaining cofactor; m = 1 gives the empty list.  Each prime found is
+    stripped by _strip, dividing by its squarings up and back down, so
+    p^e costs about 2 log2(e) big divisions rather than e.
+
+    The cofactor has only primes >= 2^12.  Before anything else it is
+    tested for a perfect power r^k, k <= log(m)/log(2^12), and replaced by
+    r, so rho never splits a prime power, and 1000003^200 costs a few
+    integer roots.  The cofactor is then trial divided further, for about
+    as long as one Miller-Rabin round on it takes, which is a short range
+    below a few hundred bits; without that, 4099^1368 * 4111 would spend
+    12 s in is_prime on its 16430 bits.  Brent's rho splits the rest.
 
     Rho finds a prime factor p after about sqrt(p) iterations, so without a
     bound a product of two 20-digit primes would run for hours.  All rho
     calls of one factorize share _RHO_STEPS = 2^20 iterations (about 0.5 s
     on a 40-digit number, pure Python), and running out raises
-    FactorizationBudgetExceeded naming the composite left unsplit.  Every
-    cofactor here has only primes above 10^6; one whose smallest prime is
-    below 10^10 splits within 2^18 charged iterations (worst of 20 random
-    semiprimes), and a product of two primes just above 10^6 within 2^13.
+    FactorizationBudgetExceeded naming the composite left unsplit.  Over 20
+    random semiprimes each (rho's split of a cofactor that is no perfect
+    power), two primes in (2^12, 2^13) split within 2^8 charged
+    iterations, two primes near 10^6 within 2^13, and a smaller prime near
+    10^10 within 2^19.  So the budget splits a cofactor whose primes, but
+    its largest, are below about 10^10, and refuses a semiprime of two
+    primes well above that.
     """
     if m < 1:
         raise NonPositiveParameter(f"factorize requires m >= 1, got {m}")
     out: dict[int, int] = {}
     for p in (2, 3, 5):
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-    f = 7
-    while f * f <= m and f < _TRIAL_LIMIT:
-        for p in (f, f + 4):  # 6k+1, 6k+5
-            while m % p == 0:
-                out[p] = out.get(p, 0) + 1
-                m //= p
-        f += 6
+        if m % p == 0:
+            m, out[p] = _strip(m, p)
+    m, f = _trial_divide(m, 1, 7, _TRIAL_LIMIT, out)
     if m > 1:
         if f * f > m:
-            out[m] = out.get(m, 0) + 1
+            out[m] = 1
         else:
-            _factor_hard(m, out, _RHO_STEPS)
+            _factor_hard(m, 1, f, out, _RHO_STEPS)
     return sorted(out.items())
 
 
@@ -171,8 +264,19 @@ class PrimePowerProduct:
             last = p
 
     @classmethod
+    def _trusted(cls, factors: tuple[tuple[int, Fraction], ...]) -> "PrimePowerProduct":
+        """An instance without __post_init__, for factors whose primes are known prime.
+
+        Their primes come from factorize or from products already validated,
+        so Miller-Rabin runs once per prime, in the public constructor only.
+        """
+        u = object.__new__(cls)
+        object.__setattr__(u, "factors", factors)
+        return u
+
+    @classmethod
     def _from_map(cls, exps: dict[int, Fraction]) -> "PrimePowerProduct":
-        return cls(tuple((p, e) for p, e in sorted(exps.items()) if e != 0))
+        return cls._trusted(tuple((p, e) for p, e in sorted(exps.items()) if e != 0))
 
     @classmethod
     def from_int(cls, n: int) -> "PrimePowerProduct":
@@ -200,7 +304,7 @@ class PrimePowerProduct:
         r = Fraction(r)
         if r == 0:
             return ONE
-        return PrimePowerProduct(tuple((p, e * r) for p, e in self.factors))
+        return PrimePowerProduct._trusted(tuple((p, e * r) for p, e in self.factors))
 
     @property
     def is_rational(self) -> bool:

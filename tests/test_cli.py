@@ -178,6 +178,39 @@ class TestVerify:
         assert code == 1 and doc["status"] == "error"
         assert f"no factor of {HARD_SEMIPRIME}" in doc["message"]
 
+    def test_prime_powers_above_the_trial_limit_factor_at_once(self):
+        # 1000003^200 took 22 s when rho split off one power at a time, each
+        # after a primality test on a 4000-bit cofactor; 4099^1368 * 4111 and
+        # a product of 200 primes above 7 * 10^5 take seconds when is_prime
+        # runs on their thousands of bits before trial division removes them
+        script = (
+            "import contextlib, io, json, math, time\n"
+            "from xyyx.cli import main\n"
+            "from xyyx.exact import factorize, is_prime\n"
+            "band = math.prod([p for p in range(700001, 703000, 2) if is_prime(p)][:200])\n"
+            "out = []\n"
+            "for m in (1000003**200, 4099**1369 * 2, (4099**5 * 4111)**7, 4099**1368 * 4111, band):\n"
+            "    t0 = time.perf_counter()\n"
+            "    pairs = factorize(m)\n"
+            "    out.append([time.perf_counter() - t0, pairs])\n"
+            "x = str(1000003**200)\n"
+            "t0 = time.perf_counter()\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as record:\n"
+            "    main(['verify', x, '1', '1', x, '--json'])\n"
+            "out.append([time.perf_counter() - t0, json.loads(record.getvalue())['results']])\n"
+            "print(json.dumps(out))\n"
+        )
+        proc = run_child(script)
+        assert proc.returncode == 0, proc.stderr
+        times, pairs = zip(*json.loads(proc.stdout))
+        assert pairs[0] == [[1000003, 200]]
+        assert pairs[1] == [[2, 1], [4099, 1369]]
+        assert pairs[2] == [[4099, 35], [4111, 7]]
+        assert pairs[3] == [[4099, 1368], [4111, 1]]
+        assert len(pairs[4]) == 200 and all(e == 1 and 700001 <= p < 703000 for p, e in pairs[4])
+        assert pairs[5]["verified"] is True
+        assert max(times) < 5.0, times
+
 
 class TestDigits:
     def test_2_2_is_15(self, capsys):

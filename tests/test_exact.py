@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction as F
@@ -23,6 +24,7 @@ from xyyx.exact import (
     is_prime,
     log10_interval,
 )
+from xyyx.solutions import euler_solution
 
 PPP = PrimePowerProduct
 
@@ -83,10 +85,21 @@ class TestFactorize:
     def test_large_semiprime_beyond_trial_division(self):
         n = 1000003 * 1000033
         assert factorize(n) == [(1000003, 1), (1000033, 1)]
+        assert factorize(4099 * 4111) == [(4099, 1), (4111, 1)]  # just above 2^12
+        assert factorize(4099 * 1000003) == [(4099, 1), (1000003, 1)]
 
     def test_prime_power_beyond_trial_division(self):
         n = 1000003**2
         assert factorize(n) == [(1000003, 2)]
+        assert factorize(4099**2) == [(4099, 2)]
+        assert factorize(4093**3 * 4099**5) == [(4093, 3), (4099, 5)]
+
+    def test_cube_of_a_twenty_digit_prime_factors(self):
+        # the perfect-power test takes the cube root before rho, which used
+        # to spend its whole budget and raise FactorizationBudgetExceeded
+        p = 10000000000000000051
+        assert factorize(p**3) == [(p, 3)]
+        assert factorize(2 * p**3) == [(2, 1), (p, 3)]
 
     def test_ten_digit_primes_split_within_the_rho_budget(self):
         assert factorize(9999999929 * 9999999943) == [(9999999929, 1), (9999999943, 1)]
@@ -98,6 +111,74 @@ class TestFactorize:
         # the budget is per call: a cofactor times small primes fails the same way
         with pytest.raises(FactorizationBudgetExceeded, match=f"no factor of {n} "):
             factorize(12 * n)
+
+
+# primes on both sides of the trial-division limit, and above 10^6
+PRIMES_BELOW_LIMIT = [p for p in range(exact._TRIAL_LIMIT - 100, exact._TRIAL_LIMIT) if is_prime(p)]
+PRIMES_ABOVE_LIMIT = [p for p in range(exact._TRIAL_LIMIT, exact._TRIAL_LIMIT + 100) if is_prime(p)]
+PRIMES_ABOVE_MILLION = [1000003, 1000033, 1000037, 1000039]
+
+
+class TestFactorizeAcrossTheTrialLimit:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(PRIMES_BELOW_LIMIT + PRIMES_ABOVE_LIMIT + PRIMES_ABOVE_MILLION),
+            st.integers(1, 60),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_returns_the_factors_a_product_was_built_from(self, exps):
+        n = 1
+        for p, e in exps.items():
+            n *= p**e
+        assert factorize(n) == sorted(exps.items())
+
+    def test_prime_pools_straddle_the_limit(self):
+        assert PRIMES_BELOW_LIMIT[-1] < exact._TRIAL_LIMIT < PRIMES_ABOVE_LIMIT[0]
+        assert len(PRIMES_BELOW_LIMIT) >= 5 and len(PRIMES_ABOVE_LIMIT) >= 5
+
+
+class QuotientCountingInt(int):
+    """An int that counts the quotients taken of it and of the quotients it yields.
+
+    Remainders (``%``) are not counted: they are trial division's
+    divisibility tests, not the divisions that strip a prime power.
+    """
+
+    quotients = 0
+
+    def __floordiv__(self, other):
+        QuotientCountingInt.quotients += 1
+        return QuotientCountingInt(int(self) // other)
+
+    def __divmod__(self, other):
+        QuotientCountingInt.quotients += 1
+        q, r = divmod(int(self), other)
+        return QuotientCountingInt(q), r
+
+
+class TestStripByRepeatedSquaring:
+    def count_quotients(self, m):
+        QuotientCountingInt.quotients = 0
+        pairs = factorize(QuotientCountingInt(m))
+        return pairs, QuotientCountingInt.quotients
+
+    def test_a_prime_power_costs_logarithmically_many_quotients(self):
+        # dividing 601 out one power at a time took 600 quotients
+        pairs, quotients = self.count_quotients(601**600)
+        assert pairs == [(601, 600)]
+        assert 0 < quotients <= 3 * math.log2(600)
+
+    def test_euler_600_values(self):
+        # `xyyx euler 600` factors (601/600)^600 and (601/600)^601; the
+        # quotients grow with the bits of each exponent, not the exponent
+        x, y = euler_solution(600)
+        for m in (x.numerator, x.denominator, y.numerator, y.denominator):
+            pairs, quotients = self.count_quotients(m)
+            assert multiply_back(pairs) == m
+            assert 0 < quotients <= 3 * sum(e.bit_length() for _, e in pairs)
 
 
 class TestPrimePowerProduct:
@@ -156,6 +237,17 @@ class TestPrimePowerProduct:
     def test_to_fraction_requires_integral_exponents(self):
         with pytest.raises(NonIntegralExponent):
             PPP(((2, F(1, 2)),)).to_fraction()
+
+    def test_primes_are_validated_once(self, monkeypatch):
+        # Miller-Rabin runs in the public constructor; products built from
+        # validated products or from factorize do not test their primes again
+        u = PPP(((2, F(3)), (1000003, F(1, 2))))
+        calls = []
+        monkeypatch.setattr(exact, "is_prime", lambda n: calls.append(n) or True)
+        v = PPP.from_fraction(F(12, 35))
+        assert (u * v).factors == ((2, 5), (3, 1), (5, -1), (7, -1), (1000003, F(1, 2)))
+        assert (u ** F(-2, 3)).factors == ((2, -2), (1000003, F(-1, 3)))
+        assert calls == []
 
     def test_str(self):
         assert str(ONE) == "1"
