@@ -8,6 +8,7 @@ are plain ``fractions.Fraction`` throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from contextlib import contextmanager
@@ -130,20 +131,30 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+def _is_small_prime(n: int) -> bool:
+    """Primality by trial division, for the exponents and moduli of _perfect_power."""
+    return n > 1 and all(n % j for j in range(2, math.isqrt(n) + 1))
+
+
 def _perfect_power(n: int, f: int) -> tuple[int, int]:
     """(r, k) with n = r^k and k largest, for n whose primes are all >= f.
 
     Such an n = r^k has k <= log(n)/log(f), so only the prime k up to that
-    bound are tried, each until n is not a k-th power.
+    bound are tried, each until n is not a k-th power.  A k whose residue
+    test fails takes no root: for the least prime l = 1 (mod k), a k-th
+    power n has n^((l-1)/k) = 0 or 1 (mod l), which other n meet about once
+    in k.
     """
     k_all = 1
     k = 2
     while n.bit_length() > k * (f.bit_length() - 1):
-        if all(k % j for j in range(2, math.isqrt(k) + 1)):
-            r = math.isqrt(n) if k == 2 else _iroot(n, k)
-            if r**k == n:
-                n, k_all = r, k_all * k
-                continue
+        if _is_small_prime(k):
+            ell = next(ell for ell in itertools.count(k + 1, k) if _is_small_prime(ell))
+            if pow(n % ell, (ell - 1) // k, ell) <= 1:
+                r = math.isqrt(n) if k == 2 else _iroot(n, k)
+                if r**k == n:
+                    n, k_all = r, k_all * k
+                    continue
         k += 1
     return n, k_all
 

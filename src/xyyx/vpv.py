@@ -8,12 +8,17 @@ sum X^J Y^K / K, which is what the closed forms and the tail bound rest on.
 
 The evaluation works column by column: for each k it multiplies the factors
 (1 - X^j Y^k), j coprime to k, in ascending j in fixed-point Python integers
-at extra precision, stops the column once |X^j Y^k| falls below
-2^-(p + GUARD_BITS) (1 - |X|), and sums the terms log(column)/k exactly with
-one final rounding (mp.fsum), so one evaluation takes at most Nk mpmath logs
-and no other mpmath arithmetic per point.  The a-priori rounding and pruning
-error is below 2^-(p+8) whenever |X|, |Y| <= 1 - 2^-14; eval_product derives
-the budget.
+at extra precision, stepping X^j Y^k from one coprime j' to the next j by
+X^(j - j'), an exact fraction while its numerator and denominator are
+short, and stops the column once |X^j Y^k| falls below 2^-(p + GUARD_BITS) (1 - |X|).  The
+columns of each doubling chain k = m, 2m, 4m, ... (m odd) are folded into
+one number whose log, divided by the chain's last k, is the chain's sum of
+log(column)/k; those terms are summed exactly with one final rounding
+(mp.fsum).  One evaluation over Nk columns thus takes at most
+ceil(Nk/2) + 1 mpmath logs, the last for the axis factor 1 - Y, and no other
+mpmath arithmetic per point.  The a-priori rounding and pruning error is
+below 2^-(p+8) whenever S + L < 2^21, with L = log(1/(1-|Y|)) and
+S = |X|/(1-|X|) L; eval_product derives the budget.
 
 Two region conventions are supported.  "strict" is the box j, k >= 1 only and
 gives the closed form (1-Y)^(X/(1-X)) for the direct product; "axis" adds the
@@ -27,6 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 
 from mpmath import iv, mp
 
@@ -119,6 +125,16 @@ def mobius_sieve(n: int) -> list[int]:
     return mu
 
 
+def _prime_divisors(n: int) -> list[list[int]]:
+    """The primes dividing each of 0..n, ascending; [] for 0 and 1."""
+    primes_of: list[list[int]] = [[] for _ in range(n + 1)]
+    for q in range(2, n + 1):
+        if not primes_of[q]:
+            for r in range(q, n + 1, q):
+                primes_of[r].append(q)
+    return primes_of
+
+
 def count_visible(N: int) -> int:
     """Number of coprime pairs in [1,N]^2 via sum_d mu(d) * floor(N/d)^2."""
     check_box(N, N)
@@ -178,6 +194,31 @@ def tail_bound(
             return mp.mpf(bound.b)
 
 
+def _power_steps(X: Fraction, Nj: int, P: int) -> list[tuple[int, int, int]]:
+    """Steps (m, s, d) for g = 0..Nj; (t * m >> s) // d is about t * X^g.
+
+    While g * (bitlen(num X) + bitlen(den X)) <= P/2 a step is exact,
+    (num^g, 0, den^g), so a P-bit t meets only short multipliers.  Past that,
+    m 2^-s is X^g on a mantissa of at least P + 1 bits: X and each further
+    power are cut once, toward -inf, so its relative error is below
+    (2g - 1) 2^-P.  The width is tested before any power is taken.
+    """
+    n, d = X.numerator, X.denominator
+    short = P // 2 // (n.bit_length() + d.bit_length()) if n else Nj
+    steps = [(n**g, 0, d**g) for g in range(min(short, Nj) + 1)]
+    if short < Nj:
+        s1 = P + 1 + d.bit_length() - n.bit_length()
+        x = (n << s1) // d
+        m, s = 1, 0
+        for g in range(1, Nj + 1):
+            m, s = m * x, s + s1
+            sh = m.bit_length() - P - 1
+            m, s = m >> sh, s - sh
+            if g > short:
+                steps.append((m, s, 1))
+    return steps
+
+
 def eval_product(
     X: Fraction,
     Y: Fraction,
@@ -198,16 +239,26 @@ def eval_product(
     For k = 1..Nk in turn, P_k is multiplied out in ascending j in Python
     integers at P = p + GUARD_BITS + e bits, where
     e = bitlen(Nj + Nk) + bitlen(ceil(1/((1-|XY|)(1-|X|)))) + 2, so that
-    eps = 2^-P < u (1-|XY|) (1-|X|) / (4 (Nj + Nk)).  X, Y and their powers are
-    fixed-point integers scaled by 2^P, x_j = (x_(j-1) * xf) >> P; each
-    factor is ONE - ((x_j * y_k) >> P) with ONE = 2^P; and the column is an
-    integer mantissa with its own exponent, cut back to P bits after every
-    multiply.  Each column then becomes one mpf (exactly, as it has P bits),
-    and the terms log(P_k)/k, taken at p + GUARD_BITS, are added by mp.fsum,
-    which sums them exactly in integers and rounds once: at most Nk logs per
-    evaluation.  The axis point's log(1 - Y), with 1 - Y formed as an exact
-    Fraction and rounded once, is added last, so that the axis and strict
-    sums differ by exactly one rounded addition.
+    eps = 2^-P < u (1-|XY|) (1-|X|) / (4 (Nj + Nk)).  Y^k is the fixed-point
+    integer y_k = (y_(k-1) * yf) >> P, scaled by ONE = 2^P.  Within column
+    k, t = X^j Y^k starts at t = y_k for j = 0 and steps from the t of the
+    previous coprime j' to t = (t * m >> s) // d, with (m, s, d) the step for
+    g = j - j' from _power_steps: X^g's own numerator and denominator while
+    they are short, X^g on a mantissa of P + 1 bits otherwise.  Each factor is
+    ONE - t, and the column is an integer mantissa with its own exponent,
+    cut back to P bits after every multiply.
+
+    Doubling chains.  With K the number of columns that ran, Q_k = P_k for
+    odd k and Q_k = Q_(k/2)^2 P_k for even k, cut back to P bits once.  The
+    chain k = m, 2m, 4m, ... (m odd) ends at the one k in (K/2, K], and
+    log(Q_k)/k there is, term for term, the chain's sum of log(P_k)/k.  Each
+    such Q_k becomes one mpf (exactly, as it has P bits), and the terms
+    log(Q_k)/k, taken at p + GUARD_BITS, are added by mp.fsum, which sums
+    them exactly in integers and rounds once: ceil(K/2) logs per evaluation.
+    Every factor is still multiplied out; nothing is regrouped.  The axis
+    point's log(1 - Y), with 1 - Y formed as an exact Fraction and rounded
+    once, is added last, so that the axis and strict sums differ by exactly
+    one rounded addition.
 
     Pruning.  A column stops at the first j with |X^j Y^k| below
     u (1-|X|), tested on the fixed-point powers as the integer comparison
@@ -219,29 +270,42 @@ def eval_product(
     Error budget, to first order in u, against the exact log of the
     truncated product (T = X^j Y^k, t its fixed-point value):
 
-    * every truncating shift loses less than one unit of eps; on negative
-      integers >> rounds toward -inf, so the loss is one-sided but still
-      below eps.  Each column cut keeps P bits, so it loses less than
+    * every truncating shift, and every floor division of an exact step,
+      loses less than one unit of eps; on negative integers both round
+      toward -inf, so the loss is one-sided but still below eps.  Each
+      column cut and each chain fold keeps P bits, so it loses less than
       2 eps relative;
     * powers: x_j - X^j = (x_(j-1) - X^(j-1)) X + X^(j-1) (x_1 - X) - loss,
       so |x_j - X^j| <= 2 eps min(j, 1/(1-|X|)) (the input rounding and one
-      shift per step, damped by |X|), and likewise for y_k;
+      shift per step, damped by |X|), and likewise for y_k.  An exact step
+      multiplies by X^g itself; a mantissa step's X^g errs by below
+      2g eps relative;
     * factors, at most u * (H_Nk/4 + (L+1)/2): |t - T| <=
-      2 eps (M |Y|^k + k |X|^j) + eps, which 1/(1-|T|) <= 1/(1-|XY|)
-      amplifies in log(1 - t); summed with weights 1/k over the box, using
-      sum_k |Y|^k/k <= L, sum_j |X|^j <= M and M (1-|X|) <= 1.  The factor
-      1-|X| in e is what absorbs the row sums of the powers' error;
-    * column products, at most u * H_Nk/2: up to Nj cuts carry relative
-      error at most gamma_Nj = Nj nu/(1 - Nj nu) with nu = 2 eps (Higham,
-      Accuracy and Stability of Numerical Algorithms, s3.1);
+      2 eps k |X|^j + eps M + 2 eps j |X|^j |Y|^k, namely y_k's error damped
+      by |X|^j, each step's loss damped by the |X|^(j - j_i) of the steps
+      after it, and the mantissa steps' relative errors, which add up to
+      at most 2 eps j (the last term is 0 when every step is exact).
+      1/(1-|T|) <= 1/(1-|XY|) amplifies it in log(1 - t); summed with
+      weights 1/k over the box, using sum_j |X|^j <= M,
+      sum_(j <= Nj) j |X|^j <= M Nj, sum_k |Y|^k/k <= L and M (1-|X|) <= 1,
+      the three terms give at most u/2, u H_Nk/4 and u L/2.  The factor
+      1-|X| in e is what absorbs the row sums;
+    * column products and chains, at most u * H_Nk/2: up to Nj cuts carry
+      relative error at most gamma_Nj = Nj nu/(1 - Nj nu) with nu = 2 eps
+      (Higham, Accuracy and Stability of Numerical Algorithms, s3.1).  A
+      fold doubles the relative error Q_(k/2) carries and adds its own cut,
+      so the chain from m to m 2^r errs by below 2 eps (2^r - 1) relative
+      and its term log(Q_k)/k by below 2 eps/m; over all chains that is
+      2 eps H_Nk, and 2 eps (Nj + 1) H_Nk <= u H_Nk/2;
     * pruned mass, at most u * (H_Nk + (L+1)/2): the skipped factors of
       column k carry at most (cut + delta) M / k, with cut * M <= u and the
       test's error delta <= 2 eps (M |Y|^k + k), below half the cut;
     * logs (within one ulp), divisions and the one rounding of the sum, at
-      most 4u * S, since sum_k |log P_k|/k <= sum |log(1 - |T|)|/k = S.
-      mp.fsum drops a term, or its running sum, only when it lies more than
-      2 (p + GUARD_BITS) bits below the other, so at most Nk drops lose
-      Nk u^2 S, second order in u;
+      most 4u * S, since the terms' sum_k |log Q_k|/k is at most
+      sum_k |log P_k|/k <= sum |log(1 - |T|)|/k = S.  mp.fsum drops a term,
+      or its running sum, only when it lies more than 2 (p + GUARD_BITS)
+      bits below the other, so at most Nk drops lose Nk u^2 S, second order
+      in u;
     * the axis term, at most u * (S + 3 |log(1-Y)| + 1): the rounding of
       the exact 1 - Y (u), the log's ulp (2u |log(1-Y)|) and the final
       addition (u (S + |log(1-Y)|)); nothing cancels.
@@ -268,29 +332,44 @@ def eval_product(
     for _ in range(Nj):
         xpow.append((xpow[-1] * xf) >> P)
     cut = (ONE - abs(xf)) << (P - prec)
-    gcd = math.gcd
-    log = mp.log
-    columns = []
+    primes_of = _prime_divisors(Nk)
+    folded = []  # (mantissa, exponent) of Q_k
     jmax = Nj
     yk = ONE
-    with mp.workprec(P):  # wide enough to hold each P-bit column exactly
-        for k in range(1, Nk + 1):
-            yk = (yk * yf) >> P
-            while jmax and abs(xpow[jmax] * yk) < cut:
-                jmax -= 1
-            if not jmax:
-                break
-            c, c_exp = ONE, -P
-            for j in range(1, jmax + 1):
-                if gcd(j, k) == 1:
-                    c *= ONE - ((xpow[j] * yk) >> P)
-                    sh = c.bit_length() - P
-                    c >>= sh
-                    c_exp += sh - P
-            columns.append((k, mp.mpf((c, c_exp))))
+    for k in range(1, Nk + 1):
+        yk = (yk * yf) >> P
+        while jmax and abs(xpow[jmax] * yk) < cut:
+            jmax -= 1
+        if not jmax:
+            break
+        if k == 1:  # jmax only falls, so no later gap exceeds this one
+            steps = _power_steps(X, jmax, P)
+        coprime = bytearray(b"\1") * jmax  # coprime[j - 1]: gcd(j, k) == 1
+        for q in primes_of[k]:
+            coprime[q - 1::q] = bytes(jmax // q)
+        c, c_exp = ONE, -P * (1 + coprime.count(1))  # each factor brings 2^-P
+        t, i = yk, 0
+        for j in compress(range(1, jmax + 1), coprime):
+            m, s, d = steps[j - i]
+            t = (t * m >> s) // d
+            i = j
+            c *= ONE - t
+            sh = c.bit_length() - P
+            c >>= sh
+            c_exp += sh
+        if not k & 1:
+            f, f_exp = folded[k // 2 - 1]
+            c *= f * f
+            sh = c.bit_length() - P
+            c >>= sh
+            c_exp += 2 * f_exp + sh
+        folded.append((c, c_exp))
+    K = len(folded)
+    with mp.workprec(P):  # wide enough to hold each P-bit Q_k exactly
+        chains = [(k, mp.mpf(folded[k - 1])) for k in range(K // 2 + 1, K + 1)]
     with mp.workprec(prec):
-        total = mp.fsum(log(column) / k for k, column in columns)
-        axis_log = log(_mpf_q(1 - Y))
+        total = mp.fsum(mp.log(q) / k for k, q in chains)
+        axis_log = mp.log(_mpf_q(1 - Y))
         if convention is Convention.AXIS:
             total = total + axis_log
         log_value = sign * total
@@ -328,22 +407,9 @@ def log_double_series(
     check_precision(precision_bits)
     with mp.workprec(precision_bits + GUARD_BITS):
         xm, ym = _mpf_q(X), _mpf_q(Y)
-        total = mp.mpf(0)
-        comp = mp.mpf(0)
-        xj = mp.mpf(1)
-        for _ in range(1, NJ + 1):
-            xj = xj * xm
-            if xj == 0:
-                break
-            yk = mp.mpf(1)
-            for K in range(1, NK + 1):
-                yk = yk * ym
-                term = xj * yk / K
-                yy = term - comp
-                tt = total + yy
-                comp = (tt - total) - yy
-                total = tt
-        return total
+        xpow = [xm**J for J in range(1, NJ + 1)]
+        ypow = [ym**K for K in range(1, NK + 1)]
+        return mp.fsum(xj * yk / K for xj in xpow for K, yk in enumerate(ypow, 1))
 
 
 def exact_regroup_check(X: Fraction, Y: Fraction, NJ: int, NK: int) -> bool:

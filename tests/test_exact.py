@@ -101,6 +101,17 @@ class TestFactorize:
         assert factorize(p**3) == [(p, 3)]
         assert factorize(2 * p**3) == [(2, 1), (p, 3)]
 
+    def test_roots_only_past_the_residue_test(self, monkeypatch):
+        # 4099^1368 * 4111 is no perfect power, yet its size admits the 218
+        # prime exponents up to 1366, and each of them used to take a root
+        calls = []
+        iroot = exact._iroot
+        monkeypatch.setattr(exact, "_iroot", lambda n, k: calls.append(k) or iroot(n, k))
+        assert factorize(4099**1368 * 4111) == [(4099, 1368), (4111, 1)]
+        assert len(calls) <= 16
+        # 1369 = 37^2: both 37th roots pass the residue test
+        assert factorize(4099**1369) == [(4099, 1369)]
+
     def test_ten_digit_primes_split_within_the_rho_budget(self):
         assert factorize(9999999929 * 9999999943) == [(9999999929, 1), (9999999943, 1)]
 

@@ -13,6 +13,7 @@ from xyyx.vpv import (
     GUARD_BITS,
     Convention,
     Form,
+    _power_steps,
     closed_form,
     count_visible,
     eval_product,
@@ -282,8 +283,9 @@ class TestColumnProductAgreement:
 
     @pytest.mark.parametrize("sx,sy", SIGNS)
     def test_logs_follow_the_pruning_rule(self, monkeypatch, sx, sy):
-        # one log for the axis term plus one per column k whose j = 1 term
-        # |X Y^k| is at least 2^-(p+32) (1-|X|), in exact rationals
+        # one log for the axis term plus one per doubling chain of the
+        # columns k whose j = 1 term |X Y^k| is at least 2^-(p+32) (1-|X|),
+        # in exact rationals: those columns are k = 1..K, with ceil(K/2) chains
         calls = []
         log = mp.log
 
@@ -300,7 +302,7 @@ class TestColumnProductAgreement:
                     columns = sum(abs(X * Y**k) >= cut * (1 - abs(X)) for k in range(1, Nk + 1))
                     calls.clear()
                     eval_product(X, Y, Nj, Nk, bits, STRICT, DIRECT)
-                    assert len(calls) == 1 + columns, (X, Y, Nj, Nk, bits)
+                    assert len(calls) == 1 + (columns + 1) // 2, (X, Y, Nj, Nk, bits)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -356,6 +358,53 @@ class TestDerivedBudget:
     )
     def test_hazards(self, X, Y, Nj, Nk, bits):
         self.assert_within_budget(X, Y, Nj, Nk, bits)
+
+
+# X = 1 - (60/61)^60 and Y = 1 - (60/61)^61, about 0.63 with 356-bit
+# numerators: too wide for an exact step at 128 bits, and past g = 1 at 2048
+LONG_X = 1 - F(60, 61) ** 60
+LONG_Y = 1 - F(60, 61) ** 61
+
+
+class TestPowerStepsAndChains:
+    """Steps by X's own fraction or by a mantissa of X^g, and one log per
+    doubling chain of columns, against the per-point reference."""
+
+    @pytest.mark.parametrize("X", [F(5, 7), F(-5, 7), F(1, 2), LONG_X, -LONG_X])
+    @pytest.mark.parametrize("P", [100, 400])
+    def test_step_table(self, X, P):
+        n, d = X.numerator, X.denominator
+        steps = _power_steps(X, 40, P)
+        assert len(steps) == 41
+        for g, (m, s, q) in enumerate(steps):
+            if g * (n.bit_length() + d.bit_length()) <= P // 2:
+                assert (m, s, q) == (n**g, 0, d**g)
+            else:
+                assert q == 1
+                assert abs(F(m, 2**s) - X**g) < (2 * g - 1) * F(1, 2**P) * abs(X) ** g
+
+    @pytest.mark.parametrize("sx,sy", SIGNS)
+    @pytest.mark.parametrize("bits,Nj,Nk", [(128, 37, 23), (2048, 20, 13)])
+    def test_long_numerators(self, sx, sy, bits, Nj, Nk):
+        X, Y = sx * LONG_X, sy * LONG_Y
+        assert_agrees_with_reference(X, Y, Nj, Nk, bits, derived_budget(X, Y, Nj, Nk, bits))
+
+    @pytest.mark.parametrize("Nk", [1, 2, 64, 65])
+    @pytest.mark.parametrize("X,Y", [(F(14, 15), F(-3, 4)), (F(-1, 2), F(2303, 2304))])
+    def test_chain_edges(self, monkeypatch, X, Y, Nk):
+        # every column runs, so the chains end at Nk/2 < k <= Nk
+        assert_agrees_with_reference(X, Y, 9, Nk, 128, derived_budget(X, Y, 9, Nk, 128))
+        calls = []
+        log = mp.log
+        monkeypatch.setattr(mp, "log", lambda x: calls.append(x) or log(x))
+        eval_product(X, Y, 9, Nk, 128, STRICT, DIRECT)
+        assert len(calls) == 1 + (Nk + 1) // 2
+
+    def test_chains_of_columns_far_below_one(self):
+        # the column products lie between 2^-223 and 2^-39, and the chain
+        # from k = 1 to 64 folds to about 2^-20900: only the exponents keep it
+        X = Y = F(2303, 2304)
+        assert_agrees_with_reference(X, Y, 30, 64, 128, derived_budget(X, Y, 30, 64, 128))
 
 
 class TestTailBound:
