@@ -2,8 +2,9 @@
 
 Positive reals of the form prod p^(e_p) with rational exponents e_p are kept
 as explicit prime-exponent vectors, so equalities between huge powers (think
-288^2304 * 2304^288) reduce to comparing small lists of fractions.  Rationals
-are plain ``fractions.Fraction`` throughout.
+288^2304 * 2304^288) reduce to comparing small lists of exponents.  An
+integral exponent is a plain ``int`` and only a non-integral one a
+``fractions.Fraction``, so the common all-integer case runs on machine ints.
 """
 
 from __future__ import annotations
@@ -251,17 +252,24 @@ def factorize(m: int) -> list[tuple[int, int]]:
     return sorted(out.items())
 
 
+def _exponent(q: int | Fraction) -> int | Fraction:
+    """The canonical form of a nonzero exponent: an int if integral, else a Fraction."""
+    return q.numerator if q.denominator == 1 else q
+
+
 @dataclass(frozen=True)
 class PrimePowerProduct:
     """A positive real as a finite product of primes with rational exponents.
 
     ``factors`` holds (prime, exponent) pairs with primes strictly ascending
-    and no zero exponents; the empty tuple is the number 1.  Instances are
-    immutable and equality is structural, so two equal values always compare
-    equal regardless of how they were built.
+    and no zero exponents; the empty tuple is the number 1.  An integral
+    exponent is stored as an ``int`` and a non-integral one as a
+    ``Fraction``, whichever way it was given or built, so instances are
+    immutable, equality is structural and two equal values always compare
+    (and hash) equal regardless of how they were built.
     """
 
-    factors: tuple[tuple[int, Fraction], ...] = ()
+    factors: tuple[tuple[int, int | Fraction], ...] = ()
 
     def __post_init__(self) -> None:
         last = 1
@@ -270,13 +278,14 @@ class PrimePowerProduct:
                 raise ValueError(f"primes must be strictly ascending, got {p} after {last}")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-            if not isinstance(e, Fraction) or e == 0:
-                raise ValueError(f"exponent of {p} must be a nonzero Fraction, got {e!r}")
+            if isinstance(e, bool) or not isinstance(e, (int, Fraction)) or e == 0:
+                raise ValueError(f"exponent of {p} must be a nonzero int or Fraction, got {e!r}")
             last = p
+        object.__setattr__(self, "factors", tuple((p, _exponent(e)) for p, e in self.factors))
 
     @classmethod
-    def _trusted(cls, factors: tuple[tuple[int, Fraction], ...]) -> "PrimePowerProduct":
-        """An instance without __post_init__, for factors whose primes are known prime.
+    def _trusted(cls, factors: tuple[tuple[int, int | Fraction], ...]) -> "PrimePowerProduct":
+        """An instance without __post_init__, for canonical factors whose primes are known prime.
 
         Their primes come from factorize or from products already validated,
         so Miller-Rabin runs once per prime, in the public constructor only.
@@ -286,36 +295,38 @@ class PrimePowerProduct:
         return u
 
     @classmethod
-    def _from_map(cls, exps: dict[int, Fraction]) -> "PrimePowerProduct":
-        return cls._trusted(tuple((p, e) for p, e in sorted(exps.items()) if e != 0))
+    def _from_map(cls, exps: dict[int, int | Fraction]) -> "PrimePowerProduct":
+        return cls._trusted(tuple((p, _exponent(e)) for p, e in sorted(exps.items()) if e != 0))
 
     @classmethod
     def from_int(cls, n: int) -> "PrimePowerProduct":
         if n < 1:
             raise NonPositiveParameter(f"value must be positive, got {n}")
-        return cls._from_map({p: Fraction(e) for p, e in factorize(n)})
+        return cls._trusted(tuple(factorize(n)))
 
     @classmethod
     def from_fraction(cls, q: Fraction) -> "PrimePowerProduct":
         q = Fraction(q)
         if q <= 0:
             raise NonPositiveParameter(f"value must be positive, got {q}")
-        exps = {p: Fraction(e) for p, e in factorize(q.numerator)}
-        for p, e in factorize(q.denominator):
-            exps[p] = exps.get(p, Fraction(0)) - e
+        exps = dict(factorize(q.numerator))
+        for p, e in factorize(q.denominator):  # coprime to the numerator
+            exps[p] = -e
         return cls._from_map(exps)
 
     def __mul__(self, other: "PrimePowerProduct") -> "PrimePowerProduct":
         exps = dict(self.factors)
         for p, e in other.factors:
-            exps[p] = exps.get(p, Fraction(0)) + e
+            exps[p] = exps.get(p, 0) + e
         return PrimePowerProduct._from_map(exps)
 
-    def __pow__(self, r) -> "PrimePowerProduct":
-        r = Fraction(r)
+    def __pow__(self, r: int | Fraction) -> "PrimePowerProduct":
+        if isinstance(r, bool) or not isinstance(r, (int, Fraction)):
+            raise ValueError(f"exponent must be an int or a Fraction, got {r!r}")
         if r == 0:
             return ONE
-        return PrimePowerProduct._trusted(tuple((p, e * r) for p, e in self.factors))
+        r = _exponent(r)
+        return PrimePowerProduct._trusted(tuple((p, _exponent(e * r)) for p, e in self.factors))
 
     @property
     def is_rational(self) -> bool:
@@ -328,9 +339,9 @@ class PrimePowerProduct:
             if e.denominator != 1:
                 raise NonIntegralExponent(f"{p}^({e}) has no rational value")
             if e > 0:
-                num *= p ** int(e)
+                num *= p**e
             else:
-                den *= p ** int(-e)
+                den *= p**-e
         return Fraction(num, den)
 
     def __str__(self) -> str:

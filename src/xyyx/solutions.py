@@ -7,6 +7,7 @@ because logarithms of distinct primes are linearly independent over Q.
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -196,18 +197,29 @@ def classify_triviality(t: SolutionTuple) -> TrivialityVerdict:
     return TrivialityVerdict(False, "none")
 
 
+def _family_is_integral(b: int, c: int) -> bool:
+    """Whether (b+c) divides b^c c^b, by the gcd test of search_integer_solutions."""
+    return pow(math.gcd(b, c), (b + c).bit_length(), b + c) == 0
+
+
 def search_integer_solutions(b_max: int, c_max: int) -> list[SolutionTuple]:
     """All-integer family tuples with 1 <= b <= b_max, 1 <= c <= c_max.
 
     The family value x = b^c c^b/(b+c) is integral iff (b+c) divides b^c c^b;
     the other three members are then integer multiples of x.  Results come in
     (b, c)-lexicographic order.
+
+    The divisibility is decided without building b^c c^b: it holds iff every
+    prime of b+c divides g = gcd(b, c).  A prime p of b+c dividing b^c c^b
+    divides b or c, and so both, as p | b+c.  Conversely, if p | g, then
+    v_p(b^c c^b) >= b+c > v_p(b+c).  As v_p(b+c) < bitlen(b+c), the test is
+    g^bitlen(b+c) = 0 (mod b+c).
     """
     if b_max < 1 or c_max < 1:
         raise NonPositiveParameter(f"bounds must be >= 1, got ({b_max}, {c_max})")
-    found = []
-    for b in range(1, b_max + 1):
-        for c in range(1, c_max + 1):
-            if (b**c * c**b) % (b + c) == 0:
-                found.append(rational_family(b, c))
-    return found
+    return [
+        rational_family(b, c)
+        for b in range(1, b_max + 1)
+        for c in range(1, c_max + 1)
+        if _family_is_integral(b, c)
+    ]

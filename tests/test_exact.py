@@ -266,6 +266,64 @@ class TestPrimePowerProduct:
         assert str(PPP(((2, F(-3)), (3, F(1, 2))))) == "2^(-3) * 3^(1/2)"
 
 
+def assert_canonical(u: PrimePowerProduct) -> None:
+    """Every exponent of u is an int if integral, else a non-integral Fraction."""
+    for p, e in u.factors:
+        assert type(e) is int or (type(e) is F and e.denominator != 1), (p, e)
+
+
+class TestCanonicalExponents:
+    def test_factorized_values_have_int_exponents(self):
+        for u in (PPP.from_int(720), PPP.from_fraction(F(30375, 8)), PPP.from_fraction(F(7))):
+            assert u.factors and all(type(e) is int for _, e in u.factors)
+
+    def test_products_and_powers_have_int_exponents(self):
+        u = PPP(((2, F(5)), (3, F(2))))
+        assert all(type(e) is int for _, e in u.factors)
+        product = u * PPP.from_fraction(F(3, 8))
+        assert product.factors == ((2, 2), (3, 3))
+        assert all(type(e) is int for _, e in product.factors)
+        # fractional exponents that sum or multiply to whole numbers
+        half = PPP(((2, F(1, 2)),))
+        assert type((half * half).factors[0][1]) is int
+        assert PPP.from_int(16) ** F(1, 2) == PPP(((2, 2),))
+        assert type((PPP.from_int(16) ** F(1, 2)).factors[0][1]) is int
+        assert all(type(e) is int for _, e in ((u ** F(1, 3)) ** 3).factors)
+        assert all(type(e) is int for _, e in (u ** F(-4, 2)).factors)
+
+    def test_constructor_normalises_integral_fractions(self):
+        u = PPP(((2, F(3)), (5, F(1, 2))))
+        assert type(u.factors[0][1]) is int
+        assert type(u.factors[1][1]) is F
+        assert PPP(((2, 3),)) == PPP(((2, F(3)),))
+        assert hash(PPP(((2, 3),))) == hash(PPP(((2, F(3)),)))
+
+    def test_non_integral_exponents_stay_fractions(self):
+        u = PPP.from_int(12) ** F(1, 3)
+        assert u.factors == ((2, F(2, 3)), (3, F(1, 3)))
+        assert all(type(e) is F for _, e in u.factors)
+        assert type((u * PPP.from_int(2)).factors[0][1]) is F
+
+    def test_constructor_accepts_an_int(self):
+        assert PPP(((2, 3), (3, -1))).to_fraction() == F(8, 3)
+
+    @pytest.mark.parametrize("e", [True, 1.0, 0, F(0)])
+    def test_constructor_refuses(self, e):
+        with pytest.raises(ValueError, match="nonzero int or Fraction"):
+            PPP(((2, e),))
+
+    @pytest.mark.parametrize("r", [0.1, 2.0, True, "1/2", None])
+    def test_pow_refuses_non_rational_exponents(self, r):
+        with pytest.raises(ValueError, match=f"int or a Fraction, got {r!r}"):
+            PPP.from_int(2) ** r
+
+    @settings(max_examples=100, deadline=None)
+    @given(products, products, exponents)
+    def test_every_operation_gives_canonical_exponents(self, a, b, r):
+        for u in (a, b, a * b, a**r, (a**r) ** 4, a * b**-1):
+            assert_canonical(u)
+
+
 # 48*log10(2), computed independently with the decimal module at 60 digits
 LOG10_2POW48 = "14.4494397918710973702594669467756652848731143101812099829005"
 

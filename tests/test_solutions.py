@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from xyyx import solutions
 from xyyx.errors import DegenerateParameters, NonPositiveParameter, NonRationalTuple, OversizedValue
 from xyyx.exact import ONE, PrimePowerProduct
 from xyyx.solutions import (
@@ -298,3 +299,43 @@ class TestSearchIntegerSolutions:
     def test_one_not_counted_as_solution_value(self):
         # (1, 1) gives x = 1/2: fractional, so excluded
         assert all(int(b) != 1 for b, _ in (t.params for t in search_integer_solutions(1, 8)))
+
+
+def literal_scan(b_max: int, c_max: int) -> list[tuple[F, F]]:
+    """The (b, c) of the integral family tuples, by building b^c c^b."""
+    return [
+        (F(b), F(c))
+        for b in range(1, b_max + 1)
+        for c in range(1, c_max + 1)
+        if (b**c * c**b) % (b + c) == 0
+    ]
+
+
+class TestSearchScanByGcd:
+    def test_gcd_test_matches_the_literal_divisibility_to_150(self):
+        for b in range(1, 151):
+            for c in range(1, 151):
+                assert solutions._family_is_integral(b, c) == ((b**c * c**b) % (b + c) == 0), (b, c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 2000), st.integers(1, 2000))
+    def test_gcd_test_matches_the_literal_divisibility(self, b, c):
+        assert solutions._family_is_integral(b, c) == ((b**c * c**b) % (b + c) == 0)
+
+    def test_search_60_60_matches_the_literal_scan(self):
+        params = [t.params for t in search_integer_solutions(60, 60)]
+        assert len(params) == 176
+        assert params == literal_scan(60, 60)
+
+
+class TestCanonicalExponents:
+    def test_search_exponents_are_ints(self):
+        for t in search_integer_solutions(30, 30):
+            for u in t.values():
+                assert all(type(e) is int for _, e in u.factors), (t.params, u)
+
+    def test_rational_family_exponents_are_ints(self):
+        for b in range(1, 9):
+            for c in range(1, 9):
+                for u in rational_family(b, c).values():
+                    assert all(type(e) is int for _, e in u.factors), (b, c, u)
