@@ -40,6 +40,7 @@ from .exact import PrimePowerProduct, check_precision, digit_count, log10_interv
 from .solutions import (
     classify_triviality,
     euler_solution,
+    first_oversized_row,
     general_solution,
     manual_tuple,
     numeric_verify,
@@ -89,6 +90,10 @@ def render_real(x, precision_bits: int) -> dict:
     return {"dec": mp.nstr(x, digits, min_fixed=1, max_fixed=1), "hex": mpf_hex(x)}
 
 
+def _oversized(path: str) -> OversizedValue:
+    return OversizedValue(f"{path} has more than {sys.get_int_max_str_digits()} decimal digits")
+
+
 def _printable(value, path: str):
     """An int as itself, a Fraction or product as its string.
 
@@ -103,7 +108,7 @@ def _printable(value, path: str):
             str(value)
         return value
     except ValueError:
-        raise OversizedValue(f"{path} has more than {limit} decimal digits") from None
+        raise _oversized(path) from None
 
 
 def _render(value, precision_bits: int | None, path: str = ""):
@@ -315,6 +320,11 @@ def cmd_transform(args) -> dict:
 
 
 def cmd_search(args) -> dict:
+    limit = sys.get_int_max_str_digits()
+    oversized = limit and first_oversized_row(args.b_max, args.c_max, limit)
+    if oversized:  # the error _printable would give, before any tuple is built
+        row, name = oversized
+        raise _oversized(f"results.solutions[{row}].{name}")
     found = search_integer_solutions(args.b_max, args.c_max)
     rows = []
     for t in found:

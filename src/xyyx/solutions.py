@@ -223,3 +223,27 @@ def search_integer_solutions(b_max: int, c_max: int) -> list[SolutionTuple]:
         for c in range(1, c_max + 1)
         if _family_is_integral(b, c)
     ]
+
+
+def first_oversized_row(b_max: int, c_max: int, digits: int) -> tuple[int, str] | None:
+    """The first row of search_integer_solutions(b_max, c_max) with a value of
+    more than digits decimal digits, as (row index, "x" or "y"), else None.
+
+    Builds no tuple.  As x = y/(b+c) <= v, w < y = b^c c^b, the first of the
+    row's x, y, v, w past the limit is x or y.  The pairs are scanned by the
+    same gcd test, and y is built only past its bit-length bound:
+    c bitlen(b) + b bitlen(c) <= 3 digits gives y < 2^(3 digits) < 10^digits.
+    """
+    if c_max * b_max.bit_length() + b_max * c_max.bit_length() <= 3 * digits:
+        return None
+    ten = 10**digits
+    row = 0
+    for b in range(1, b_max + 1):
+        for c in range(1, c_max + 1):
+            if _family_is_integral(b, c):
+                if c * b.bit_length() + b * c.bit_length() > 3 * digits:
+                    y = b**c * c**b
+                    if y >= ten:
+                        return row, "x" if y // (b + c) >= ten else "y"
+                row += 1
+    return None

@@ -7,16 +7,23 @@ m = gcd(J, K) collapses the coprime-indexed sum into the plain double series
 sum X^J Y^K / K, which is what the closed forms and the tail bound rest on.
 
 The evaluation works column by column: for each k it multiplies the factors
-(1 - X^j Y^k), j coprime to k, in ascending j in fixed-point Python integers
-at extra precision, stepping X^j Y^k from one coprime j' to the next j by
-X^(j - j'), an exact fraction while its numerator and denominator are
-short, and stops the column once |X^j Y^k| falls below 2^-(p + GUARD_BITS) (1 - |X|).  The
-columns of each doubling chain k = m, 2m, 4m, ... (m odd) are folded into
-one number whose log, divided by the chain's last k, is the chain's sum of
-log(column)/k; those terms are summed exactly with one final rounding
-(mp.fsum).  One evaluation over Nk columns thus takes at most
-ceil(Nk/2) + 1 mpmath logs, the last for the axis factor 1 - Y, and no other
-mpmath arithmetic per point.  The a-priori rounding and pruning error is
+(1 - X^j Y^k), j coprime to k, in ascending j in Python integers at extra
+precision P, and stops the column once |X^j Y^k| falls below
+2^-(p + GUARD_BITS) (1 - |X|).  With X = a/b and Y = c/d in lowest terms,
+the factors with j bitlen(b) + k bitlen(d) <= P, a prefix of each column,
+enter as their exact integer numerators b^j d^k - a^j c^k (unless b is so
+wide that column 1's prefix would stop before j = PREFIX_MIN_J), and the
+product of their denominators, powers of b and d, is subtracted as
+R_b log b + R_d log d with exact R_b and R_d.  The rest of the column
+runs in fixed point, stepping X^j Y^k from one coprime j' to the next j
+by X^(j - j'), an exact fraction while its numerator and denominator are
+short.  The columns of each doubling chain k = m, 2m, 4m, ... (m odd) are
+folded into one number whose log, divided by the chain's last k, is the
+chain's sum of log(column)/k; those terms and the two denominator terms are
+summed exactly with one final rounding (mp.fsum).  One evaluation over Nk
+columns thus takes at most ceil(Nk/2) + 1 mpmath logs, the last for the
+axis factor 1 - Y, plus log b and log d when some column has a prefix, and
+no other mpmath arithmetic per point.  The a-priori rounding and pruning error is
 below 2^-(p+8) whenever S + L < 2^21, with L = log(1/(1-|Y|)) and
 S = |X|/(1-|X|) L; eval_product derives the budget.
 
@@ -42,6 +49,11 @@ from .exact import check_precision, iv_precision
 # Extra working precision; results are returned carrying these guard bits so
 # that structural identities (axis = strict + one factor) hold bit-exactly.
 GUARD_BITS = 32
+# Bits the logs of eval_product take beyond the width of the terms' cancellation.
+LOG_GUARD_BITS = 5
+# eval_product takes exact prefixes only if column 1's reaches this j: fewer
+# exact factors save less than the two logs of the denominators cost.
+PREFIX_MIN_J = 16
 
 
 class Convention(str, Enum):
@@ -239,23 +251,47 @@ def eval_product(
     For k = 1..Nk in turn, P_k is multiplied out in ascending j in Python
     integers at P = p + GUARD_BITS + e bits, where
     e = bitlen(Nj + Nk) + bitlen(ceil(1/((1-|XY|)(1-|X|)))) + 2, so that
-    eps = 2^-P < u (1-|XY|) (1-|X|) / (4 (Nj + Nk)).  Y^k is the fixed-point
-    integer y_k = (y_(k-1) * yf) >> P, scaled by ONE = 2^P.  Within column
-    k, t = X^j Y^k starts at t = y_k for j = 0 and steps from the t of the
-    previous coprime j' to t = (t * m >> s) // d, with (m, s, d) the step for
-    g = j - j' from _power_steps: X^g's own numerator and denominator while
-    they are short, X^g on a mantissa of P + 1 bits otherwise.  Each factor is
-    ONE - t, and the column is an integer mantissa with its own exponent,
-    cut back to P bits after every multiply.
+    eps = 2^-P < u (1-|XY|) (1-|X|) / (4 (Nj + Nk)).  The column is an
+    integer mantissa with its own exponent, cut back to P bits after every
+    multiply.
+
+    Exact prefix.  Write X = a/b and Y = c/d in lowest terms.  While
+    k bitlen(d) <= P, the coprime j <= min(jmax, (P - k bitlen(d)) //
+    bitlen(b)) of column k form its prefix, where b^j d^k < 2^P, provided
+    column 1's would reach j = PREFIX_MIN_J (fewer exact factors save less
+    than the logs of b and d cost; no column has a prefix otherwise).
+    There the pair (A, B) = (a^j c^k, b^j d^k) starts from (c^k, d^k) and steps
+    exactly by the tabled a^g and b^g, g = j - j' from the previous coprime
+    j', and the column is multiplied by the integer B - A of at most P + 1
+    bits: the factor's exact numerator.  Its denominator B is left out of
+    the column; the prefix's denominators multiply to b^S_k d^(k n_k), with
+    S_k the sum and n_k the count of its j, and the evaluation subtracts
+    R_b log b + R_d log d, where R_b = sum S_k/k and R_d = sum n_k are held
+    exactly.  Only this product of powers of the integers b and d is summed
+    in closed form; every factor is still multiplied out on its own.
+
+    Suffix.  The rest of the column runs in fixed point, scaled by
+    ONE = 2^P.  Y^k is y_k = (y_(k-1) * yf) >> P.  t = X^j Y^k starts at
+    (A << P) // B for the prefix's last j, or at t = y_k for j = 0 when the
+    column has no prefix, and steps from the t of the previous coprime j'
+    to t = (t * m >> s) // d, with (m, s, d) the step for g = j - j' from
+    _power_steps: X^g's own numerator and denominator while they are
+    short, X^g on a mantissa of P + 1 bits otherwise.  Each factor is
+    ONE - t.  Short fractions at high precision run whole columns in the
+    prefix; wide ones run all, or nearly all, in the suffix.
 
     Doubling chains.  With K the number of columns that ran, Q_k = P_k for
     odd k and Q_k = Q_(k/2)^2 P_k for even k, cut back to P bits once.  The
     chain k = m, 2m, 4m, ... (m odd) ends at the one k in (K/2, K], and
-    log(Q_k)/k there is, term for term, the chain's sum of log(P_k)/k.  Each
-    such Q_k becomes one mpf (exactly, as it has P bits), and the terms
-    log(Q_k)/k, taken at p + GUARD_BITS, are added by mp.fsum, which sums
-    them exactly in integers and rounds once: ceil(K/2) logs per evaluation.
-    Every factor is still multiplied out; nothing is regrouped.  The axis
+    log(Q_k)/k there is, term for term, the chain's sum of log(P_k)/k (of
+    log(P_k D_k)/k, with D_k the prefix denominators of column k).  Each
+    such Q_k becomes one mpf (exactly, as it has P bits).  With
+    W = R_b bitlen(b) + R_d bitlen(d), the terms log(Q_k)/k,
+    -R_b log b and -R_d log d cancel from magnitudes up to W down to the
+    sum, so they are taken at w = p + GUARD_BITS + bitlen(ceil W) +
+    LOG_GUARD_BITS bits (w = p + GUARD_BITS when W = 0); mp.fsum sums them
+    exactly in integers and rounds once, to p + GUARD_BITS: ceil(K/2) logs
+    per evaluation, plus log b and log d when R_b and R_d are nonzero.  The axis
     point's log(1 - Y), with 1 - Y formed as an exact Fraction and rounded
     once, is added last, so that the axis and strict sums differ by exactly
     one rounded addition.
@@ -280,17 +316,23 @@ def eval_product(
       shift per step, damped by |X|), and likewise for y_k.  An exact step
       multiplies by X^g itself; a mantissa step's X^g errs by below
       2g eps relative;
-    * factors, at most u * (H_Nk/4 + (L+1)/2): |t - T| <=
-      2 eps k |X|^j + eps M + 2 eps j |X|^j |Y|^k, namely y_k's error damped
-      by |X|^j, each step's loss damped by the |X|^(j - j_i) of the steps
-      after it, and the mantissa steps' relative errors, which add up to
-      at most 2 eps j (the last term is 0 when every step is exact).
-      1/(1-|T|) <= 1/(1-|XY|) amplifies it in log(1 - t); summed with
-      weights 1/k over the box, using sum_j |X|^j <= M,
-      sum_(j <= Nj) j |X|^j <= M Nj, sum_k |Y|^k/k <= L and M (1-|X|) <= 1,
-      the three terms give at most u/2, u H_Nk/4 and u L/2.  The factor
-      1-|X| in e is what absorbs the row sums;
-    * column products and chains, at most u * H_Nk/2: up to Nj cuts carry
+    * factors, at most u * (H_Nk/4 + (L+1)/2): a prefix factor is exact.
+      A suffix factor has |t - T| <= e_0 + eps M + 2 eps j |X|^j |Y|^k,
+      namely its starting value's error damped by the steps after it, each
+      step's loss damped by the |X|^(j - j_i) of the steps after it, and
+      the mantissa steps' relative errors, which add up to at most 2 eps j
+      (the last term is 0 when every step is exact).  Starting from y_k,
+      e_0 = 2 eps k |X|^j; starting from the one floor division at the
+      prefix's last j_0, e_0 = eps |X|^(j - j_0), whose sum over the column
+      is below eps M, so either way the first term adds up to at most
+      2 eps M per column after the weight 1/k.  1/(1-|T|) <= 1/(1-|XY|)
+      amplifies the error in log(1 - t); summed with weights 1/k over the
+      box, using sum_j |X|^j <= M, sum_(j <= Nj) j |X|^j <= M Nj,
+      sum_k |Y|^k/k <= L and M (1-|X|) <= 1, the three terms give at most
+      u/2, u H_Nk/4 and u L/2.  The factor 1-|X| in e is what absorbs the
+      row sums;
+    * column products and chains, at most u * H_Nk/2: up to Nj cuts, after
+      a multiply by ONE - t or by B - A alike, carry
       relative error at most gamma_Nj = Nj nu/(1 - Nj nu) with nu = 2 eps
       (Higham, Accuracy and Stability of Numerical Algorithms, s3.1).  A
       fold doubles the relative error Q_(k/2) carries and adds its own cut,
@@ -300,12 +342,21 @@ def eval_product(
     * pruned mass, at most u * (H_Nk + (L+1)/2): the skipped factors of
       column k carry at most (cut + delta) M / k, with cut * M <= u and the
       test's error delta <= 2 eps (M |Y|^k + k), below half the cut;
-    * logs (within one ulp), divisions and the one rounding of the sum, at
-      most 4u * S, since the terms' sum_k |log Q_k|/k is at most
-      sum_k |log P_k|/k <= sum |log(1 - |T|)|/k = S.  mp.fsum drops a term,
-      or its running sum, only when it lies more than 2 (p + GUARD_BITS)
-      bits below the other, so at most Nk drops lose Nk u^2 S, second order
-      in u;
+    * logs, at most u * (4S + H_Nk/4): the terms' absolute values add up
+      to at most S + 2W log 2, since sum_k |log Q_k|/k is at most
+      sum_k |log P_k|/k <= sum |log(1 - |T|)|/k = S and the denominators
+      add W log 2 twice, once in the chains and once subtracted.  Each term
+      takes at most three roundings at w bits (the log within one ulp, a
+      multiply and a division), so errs by below 4 2^-w relative.  With
+      W = 0 that is at most 3u S (a log and a division); otherwise
+      4 2^-w (S + 2W log 2) < u (S/8 + 1/4), as 2^(w - p - GUARD_BITS) >
+      32 W.  The one rounding of the sum adds u S.  The u/4 comes out of the
+      2 H_Nk in the total, which the other items use only 7/4 of (H_Nk >= 1
+      once a column runs).  mp.fsum drops a term, or its
+      running sum, only when it lies more than 2 (p + GUARD_BITS) bits
+      below the other, so at most Nk + 2 drops lose (Nk + 2) u^2 (S + 2W),
+      second order in u, as every prefix point has j bitlen(b) +
+      k bitlen(d) <= P, so W <= Nj P H_Nk;
     * the axis term, at most u * (S + 3 |log(1-Y)| + 1): the rounding of
       the exact 1 - Y (u), the log's ulp (2u |log(1-Y)|) and the final
       addition (u (S + |log(1-Y)|)); nothing cancels.
@@ -326,14 +377,21 @@ def eval_product(
     extra = (Nj + Nk).bit_length() + amp.bit_length() + 2
     P = prec + extra
     ONE = 1 << P
-    xf = (X.numerator << P) // X.denominator
-    yf = (Y.numerator << P) // Y.denominator
+    xn, xd, yn, yd = X.numerator, X.denominator, Y.numerator, Y.denominator
+    xf = (xn << P) // xd
+    yf = (yn << P) // yd
     xpow = [ONE]
     for _ in range(Nj):
         xpow.append((xpow[-1] * xf) >> P)
     cut = (ONE - abs(xf)) << (P - prec)
     primes_of = _prime_divisors(Nk)
-    folded = []  # (mantissa, exponent) of Q_k
+    bx, by = xd.bit_length(), yd.bit_length()
+    top = P if PREFIX_MIN_J * bx + by <= P else 0  # prefixes while k by <= top
+    ya, yb = 1, 1  # yn^k and yd^k while k * by <= top
+    # sum_k log(prefix denominators of column k)/k = R_b log b + R_d log d,
+    # with R_b = rb/rq, its terms added as plain ints
+    rb, rq, R_d = 0, 1, 0
+    folded = []  # (mantissa, exponent) of Q_k times its prefix denominators
     jmax = Nj
     yk = ONE
     for k in range(1, Nk + 1):
@@ -344,12 +402,33 @@ def eval_product(
             break
         if k == 1:  # jmax only falls, so no later gap exceeds this one
             steps = _power_steps(X, jmax, P)
+            xnum, xden = [1], [1]
+            for _ in range(min(jmax, P // bx)):
+                xnum.append(xnum[-1] * xn)
+                xden.append(xden[-1] * xd)
         coprime = bytearray(b"\1") * jmax  # coprime[j - 1]: gcd(j, k) == 1
         for q in primes_of[k]:
             coprime[q - 1::q] = bytes(jmax // q)
-        c, c_exp = ONE, -P * (1 + coprime.count(1))  # each factor brings 2^-P
+        short = 0  # the exact prefix: j <= short, where b^j d^k < 2^P
+        if k * by <= top:
+            ya, yb = ya * yn, yb * yd
+            short = min(jmax, (P - k * by) // bx)
+        prefix = list(compress(range(1, short + 1), coprime))
+        c, c_exp = ONE, -P * (1 + coprime.count(1) - len(prefix))  # ONE - t brings 2^-P
         t, i = yk, 0
-        for j in compress(range(1, jmax + 1), coprime):
+        if prefix:
+            A, B = ya, yb
+            for j in prefix:  # factor (B - A)/B, its numerator exact
+                A, B = A * xnum[j - i], B * xden[j - i]
+                i = j
+                c *= B - A
+                sh = c.bit_length() - P
+                c >>= sh
+                c_exp += sh
+            rb, rq = rb * k + sum(prefix) * rq, rq * k
+            R_d += len(prefix)
+            t = (A << P) // B
+        for j in compress(range(i + 1, jmax + 1), coprime[i:]):
             m, s, d = steps[j - i]
             t = (t * m >> s) // d
             i = j
@@ -367,8 +446,16 @@ def eval_product(
     K = len(folded)
     with mp.workprec(P):  # wide enough to hold each P-bit Q_k exactly
         chains = [(k, mp.mpf(folded[k - 1])) for k in range(K // 2 + 1, K + 1)]
+    # the terms cancel from about W = R_b bitlen(b) + R_d bitlen(d) down to the sum
+    wide = -(-(rb * bx + R_d * by * rq) // rq)  # ceil(W)
+    with mp.workprec(prec + (wide and wide.bit_length() + LOG_GUARD_BITS)):
+        terms = [mp.log(q) / k for k, q in chains]
+        if rb:
+            terms.append(-mp.log(xd) * rb / rq)
+        if R_d:
+            terms.append(-R_d * mp.log(yd))
     with mp.workprec(prec):
-        total = mp.fsum(mp.log(q) / k for k, q in chains)
+        total = mp.fsum(terms)
         axis_log = mp.log(_mpf_q(1 - Y))
         if convention is Convention.AXIS:
             total = total + axis_log

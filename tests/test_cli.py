@@ -13,6 +13,7 @@ import pytest
 
 from xyyx.cli import _render, build_parser, main, mpf_hex, parse_rational
 from xyyx.errors import OversizedValue
+from xyyx.solutions import search_integer_solutions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -416,6 +417,46 @@ class TestSearch:
     def test_empty(self, capsys):
         _, doc = run_json(capsys, "search", "1", "1")
         assert doc["results"]["solutions"] == []
+
+    def test_oversized_row_is_refused_before_any_tuple_is_built(self):
+        script = (
+            "import sys, time\n"
+            "sys.set_int_max_str_digits(4300)\n"
+            "from xyyx.cli import main\n"
+            "t0 = time.perf_counter()\n"
+            "code = main(['search', '1000', '1000', '--json'])\n"
+            "print(time.perf_counter() - t0, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = run_child(script)
+        assert float(proc.stderr) < 1.0
+        doc = json.loads(proc.stdout)
+        assert proc.returncode == 1 and doc["status"] == "error"
+        assert doc["message"] == "results.solutions[5005].x has more than 4300 decimal digits"
+
+    @pytest.mark.parametrize("bounds", [("300", "300"), ("12", "40"), ("100", "100")])
+    def test_same_record_as_rendering_every_row(self, capsys, bounds):
+        # at the smallest digit limit, the early refusal names the field that
+        # rendering the whole box would fail on, and a box within it is as before
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, doc = run_json(capsys, "search", *bounds)
+            rows = [
+                {name: u.to_fraction() for name, u in zip("xyvw", t.values())}
+                for t in search_integer_solutions(*map(int, bounds))
+            ]
+            try:
+                _render({"results": {"solutions": rows}}, None)
+                rendered = None
+            except OversizedValue as exc:
+                rendered = str(exc)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        if rendered is None:
+            assert code == 0 and len(doc["results"]["solutions"]) == len(rows)
+        else:
+            assert code == 1 and doc["message"] == rendered
 
 
 class TestOutputModes:

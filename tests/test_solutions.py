@@ -13,6 +13,7 @@ from xyyx.exact import ONE, PrimePowerProduct
 from xyyx.solutions import (
     classify_triviality,
     euler_solution,
+    first_oversized_row,
     general_solution,
     manual_tuple,
     numeric_verify,
@@ -326,6 +327,27 @@ class TestSearchScanByGcd:
         params = [t.params for t in search_integer_solutions(60, 60)]
         assert len(params) == 176
         assert params == literal_scan(60, 60)
+
+
+class TestFirstOversizedRow:
+    @pytest.mark.parametrize("b_max,c_max", [(30, 30), (40, 12), (12, 40)])
+    def test_matches_the_built_rows(self, b_max, c_max):
+        # each row's x, y, v, w as strings, the way the CLI record prints them
+        widths = [
+            [(len(str(u.to_fraction())), name) for name, u in zip("xyvw", t.values())]
+            for t in search_integer_solutions(b_max, c_max)
+        ]
+        for digits in range(1, 100):
+            over = [(row, name) for row, fields in enumerate(widths) for width, name in fields if width > digits]
+            assert first_oversized_row(b_max, c_max, digits) == (over[0] if over else None), digits
+        names = {first_oversized_row(b_max, c_max, digits)[1] for digits in range(1, 40)}
+        assert names == {"x", "y"}
+        assert first_oversized_row(b_max, c_max, 89) is None
+
+    def test_boxes_within_the_limit(self):
+        assert first_oversized_row(60, 60, 4300) is None
+        assert first_oversized_row(0, 5, 1) is None
+        assert first_oversized_row(1000, 300, 4300) is None
 
 
 class TestCanonicalExponents:

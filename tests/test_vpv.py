@@ -2,13 +2,16 @@ import functools
 import math
 import random
 from fractions import Fraction as F
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from xyyx import vpv
 from xyyx.errors import DomainViolation
+from xyyx.transforms import pair_from_euler
 from xyyx.vpv import (
     GUARD_BITS,
     Convention,
@@ -285,7 +288,8 @@ class TestColumnProductAgreement:
     def test_logs_follow_the_pruning_rule(self, monkeypatch, sx, sy):
         # one log for the axis term plus one per doubling chain of the
         # columns k whose j = 1 term |X Y^k| is at least 2^-(p+32) (1-|X|),
-        # in exact rationals: those columns are k = 1..K, with ceil(K/2) chains
+        # in exact rationals: those columns are k = 1..K, with ceil(K/2) chains;
+        # log b and log d are taken too once a column has an exact prefix
         calls = []
         log = mp.log
 
@@ -301,8 +305,9 @@ class TestColumnProductAgreement:
                     X, Y = sx * mx, sy * my
                     columns = sum(abs(X * Y**k) >= cut * (1 - abs(X)) for k in range(1, Nk + 1))
                     calls.clear()
-                    eval_product(X, Y, Nj, Nk, bits, STRICT, DIRECT)
-                    assert len(calls) == 1 + (columns + 1) // 2, (X, Y, Nj, Nk, bits)
+                    split = column_split(monkeypatch, X, Y, Nj, Nk, bits)
+                    denominators = 2 if any(prefix for prefix, _ in split) else 0
+                    assert len(calls) == 1 + (columns + 1) // 2 + denominators, (X, Y, Nj, Nk, bits)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -398,13 +403,110 @@ class TestPowerStepsAndChains:
         log = mp.log
         monkeypatch.setattr(mp, "log", lambda x: calls.append(x) or log(x))
         eval_product(X, Y, 9, Nk, 128, STRICT, DIRECT)
-        assert len(calls) == 1 + (Nk + 1) // 2
+        assert len(calls) == 1 + (Nk + 1) // 2 + 2  # and log b, log d of the prefixes
 
     def test_chains_of_columns_far_below_one(self):
         # the column products lie between 2^-223 and 2^-39, and the chain
         # from k = 1 to 64 folds to about 2^-20900: only the exponents keep it
         X = Y = F(2303, 2304)
         assert_agrees_with_reference(X, Y, 30, 64, 128, derived_budget(X, Y, 30, 64, 128))
+
+
+def column_split(monkeypatch, X, Y, Nj, Nk, bits):
+    """The j of each column's exact prefix and of its fixed-point suffix.
+
+    eval_product enumerates each column's coprime j with two compress
+    calls, the prefix first; this records what they yield.
+    """
+    seen = []
+
+    def recording(data, mask):
+        seen.append(list(compress(data, mask)))
+        return iter(seen[-1])
+
+    monkeypatch.setattr(vpv, "compress", recording)
+    eval_product(X, Y, Nj, Nk, bits, STRICT, DIRECT)
+    monkeypatch.setattr(vpv, "compress", compress)
+    return list(zip(seen[::2], seen[1::2]))
+
+
+class TestExactPrefix:
+    """Factors enter as exact integer numerators while b^j d^k fits in P
+    bits, the rest of the column in fixed point, against the per-point
+    reference within the derived budget."""
+
+    @staticmethod
+    def assert_within_budget(X, Y, Nj, Nk, bits):
+        assert_agrees_with_reference(X, Y, Nj, Nk, bits, derived_budget(X, Y, Nj, Nk, bits))
+
+    @pytest.mark.parametrize("X,Y,N", [(F(1, 2), F(3, 4), 40), (F(-11, 12), F(13, 14), 30)])
+    def test_4096_bits(self, monkeypatch, X, Y, N):
+        split = column_split(monkeypatch, X, Y, N, N, 4096)
+        assert all(prefix and not suffix for prefix, suffix in split)
+        self.assert_within_budget(X, Y, N, N, 4096)
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_columns_switch_to_fixed_point(self, monkeypatch, bits):
+        X, Y = F(14, 15), F(2303, 2304)
+        split = column_split(monkeypatch, X, Y, 60, 60, bits)
+        assert len(split) == 60
+        assert any(prefix and suffix for prefix, suffix in split)
+        for k, (prefix, suffix) in enumerate(split, 1):
+            column = prefix + suffix
+            assert column == sorted(set(column))
+            assert all(math.gcd(j, k) == 1 for j in column)
+        self.assert_within_budget(X, Y, 60, 60, bits)
+
+    def test_prefix_stops_once_d_to_the_k_is_too_wide(self, monkeypatch):
+        # bitlen(d) = 41, so k bitlen(d) passes P = 171 bits at k = 5
+        X, Y = F(1, 2), 1 - F(1, 2**40)
+        split = column_split(monkeypatch, X, Y, 20, 20, 128)
+        assert len(split) == 20
+        assert [bool(prefix) for prefix, _ in split] == [True] * 4 + [False] * 16
+        self.assert_within_budget(X, Y, 20, 20, 128)
+
+    @pytest.mark.parametrize("X,Y", [(F(-5, 7), F(3, 4)), (F(5, 7), F(-3, 4)), (-F(5, 7), -F(3, 4))])
+    @pytest.mark.parametrize("bits", [128, 1024])
+    def test_negative_numerators(self, monkeypatch, X, Y, bits):
+        assert column_split(monkeypatch, X, Y, 30, 30, bits)[0][0]
+        self.assert_within_budget(X, Y, 30, 30, bits)
+
+    def test_which_columns_are_exact(self, monkeypatch):
+        # every column of the 2048-bit dyadic anchor is all prefix; the
+        # 14280-bit denominators of pair_from_euler(1369) get no prefix at all,
+        # and neither do LONG_X and LONG_Y at 2048 bits, whose column 1 would
+        # stop at j = 4, short of PREFIX_MIN_J
+        anchor = column_split(monkeypatch, F(1, 2), F(3, 4), 68, 68, 2048)
+        assert len(anchor) == 68
+        assert all(prefix and not suffix for prefix, suffix in anchor)
+        long = column_split(monkeypatch, LONG_X, LONG_Y, 20, 13, 2048)
+        assert len(long) == 13 and not any(prefix for prefix, _ in long)
+        wide = pair_from_euler(1369)
+        split = column_split(monkeypatch, wide.X, wide.Y, 20, 20, 256)
+        assert len(split) == 20
+        assert all(suffix and not prefix for prefix, suffix in split)
+
+    def test_log_terms_are_rounded_once(self, monkeypatch):
+        # the chain terms and -R_b log b - R_d log d cancel from about 1624
+        # down to log_value = -1.386: a running sum at p + 32 bits errs by
+        # thousands of units in the last place, mp.fsum by half of one
+        recorded = []
+        fsum = mp.fsum
+
+        def recording_fsum(terms):
+            recorded.append(list(terms))
+            return fsum(recorded[-1])
+
+        monkeypatch.setattr(mp, "fsum", recording_fsum)
+        bits = 128
+        r = eval_product(F(1, 2), F(3, 4), 40, 40, bits, STRICT, DIRECT)
+        assert len(recorded) == 1, "the log terms are summed by one mp.fsum"
+        terms = recorded[0]
+        exact = sum((-1 if t < 0 else 1) * F(t.man) * F(2) ** t.exp for t in terms)
+        with mp.workprec(bits + GUARD_BITS):
+            assert max(abs(t) for t in terms) > 2**10 * abs(r.log_value)
+            assert r.log_value == mp.fdiv(exact.numerator, exact.denominator)
+            assert r.log_value != sum(terms, mp.mpf(0))
 
 
 class TestTailBound:
