@@ -38,6 +38,7 @@ from . import __version__
 from .errors import NonIntegerValue, NonPositiveParameter, OversizedValue
 from .exact import PrimePowerProduct, check_precision, digit_count, log10_interval
 from .solutions import (
+    check_search_box,
     classify_triviality,
     euler_solution,
     first_oversized_row,
@@ -94,37 +95,76 @@ def _oversized(path: str) -> OversizedValue:
     return OversizedValue(f"{path} has more than {sys.get_int_max_str_digits()} decimal digits")
 
 
-def _printable(value, path: str):
-    """An int as itself, a Fraction or product as its string.
+class _Unprintable(Exception):
+    """A leaf past the int-to-str digit limit; the keys above it join path on the way out."""
 
-    Past the int-to-str digit limit this raises OversizedValue naming path;
-    ints are tried here, as json.dumps in emit would raise outside main's try.
+    def __init__(self):
+        super().__init__()
+        self.path: list[str] = []
+
+
+def _leaf(value, limit: int):
+    """An int as itself, a Fraction or product as its string; limit is the digit limit.
+
+    Ints are tried here, as json.dumps in emit would raise outside main's try.
     """
-    limit = sys.get_int_max_str_digits()
     try:
         if not isinstance(value, int):
             return str(value)
-        if value.bit_length() > 3 * limit:  # 3 * limit bits hold fewer than limit digits
+        if limit and value.bit_length() > 3 * limit:  # 3 * limit bits hold fewer than limit digits
             str(value)
         return value
     except ValueError:
+        raise _Unprintable from None
+
+
+def _printable(value, path: str):
+    """_leaf at the interpreter's digit limit; past it, OversizedValue naming path."""
+    try:
+        return _leaf(value, sys.get_int_max_str_digits())
+    except _Unprintable:
         raise _oversized(path) from None
 
 
-def _render(value, precision_bits: int | None, path: str = ""):
-    """The record form of a computed value; an mpf goes through render_real."""
+def _render(value, precision_bits: int | None):
+    """The record form of a computed value; an mpf goes through render_real.
+
+    The digit limit is read once per record, and a leaf's path is built only
+    when the leaf cannot be printed, as the OversizedValue naming it.
+    """
+    try:
+        return _form(value, precision_bits, sys.get_int_max_str_digits())
+    except _Unprintable as exc:
+        raise _oversized("".join(reversed(exc.path)).lstrip(".")) from None
+
+
+def _form(value, precision_bits: int | None, limit: int):
+    if isinstance(value, (int, Fraction, PrimePowerProduct)):  # a bool passes _leaf unchanged
+        return _leaf(value, limit)
     if isinstance(value, Enum):  # before str: Convention and Form subclass it
         return value.value
-    if value is None or isinstance(value, (str, bool)):
+    if value is None or isinstance(value, str):
         return value
-    if isinstance(value, (int, Fraction, PrimePowerProduct)):
-        return _printable(value, path)
     if isinstance(value, EvalReport):  # field by field, at its own precision
         value, precision_bits = vars(value), value.precision_bits
     if isinstance(value, dict):
-        return {k: _render(v, precision_bits, f"{path}.{k}" if path else k) for k, v in value.items()}
+        out = {}
+        try:
+            for k, v in value.items():
+                out[k] = _form(v, precision_bits, limit)
+        except _Unprintable as exc:
+            exc.path.append(f".{k}")
+            raise
+        return out
     if isinstance(value, (list, tuple)):
-        return [_render(v, precision_bits, f"{path}[{i}]") for i, v in enumerate(value)]
+        items = []
+        try:
+            for i, v in enumerate(value):
+                items.append(_form(v, precision_bits, limit))
+        except _Unprintable as exc:
+            exc.path.append(f"[{i}]")
+            raise
+        return items
     return render_real(value, precision_bits)
 
 
@@ -192,11 +232,12 @@ def cmd_euler(args) -> dict:
 
 def _tuple_payload(t, verified: bool, mode: str) -> dict:
     verdict = classify_triviality(t)
-    values = {
-        name: u.to_fraction() if u.is_rational else u for name, u in zip("xyvw", t.values())
-    }
+    if t.is_rational:
+        values = t.as_fractions()
+    else:
+        values = [u.to_fraction() if u.is_rational else u for u in t.values()]
     return {
-        **values,
+        **dict(zip("xyvw", values)),
         "verified": verified,
         "verification": mode,
         "trivial": verdict.trivial,
@@ -230,7 +271,7 @@ def cmd_verify(args) -> dict:
 
 def cmd_digits(args) -> dict:
     t = rational_family(args.b, args.c)
-    if not all(u.is_rational and u.to_fraction().denominator == 1 for u in t.values()):
+    if not all(q.denominator == 1 for q in t.as_fractions()):
         raise NonIntegerValue(
             f"family ({args.b}, {args.c}) is not integer-valued: x = {t.x}"
         )
@@ -320,6 +361,7 @@ def cmd_transform(args) -> dict:
 
 
 def cmd_search(args) -> dict:
+    check_search_box(args.b_max, args.c_max)
     limit = sys.get_int_max_str_digits()
     oversized = limit and first_oversized_row(args.b_max, args.c_max, limit)
     if oversized:  # the error _printable would give, before any tuple is built
@@ -333,7 +375,7 @@ def cmd_search(args) -> dict:
             {
                 "b": int(b),
                 "c": int(c),
-                **{name: u.to_fraction() for name, u in zip("xyvw", t.values())},
+                **dict(zip("xyvw", t.as_fractions())),
                 "verified": verify_product_equation(t),
             }
         )

@@ -296,7 +296,9 @@ class PrimePowerProduct:
 
     @classmethod
     def _from_map(cls, exps: dict[int, int | Fraction]) -> "PrimePowerProduct":
-        return cls._trusted(tuple((p, _exponent(e)) for p, e in sorted(exps.items()) if e != 0))
+        return cls._trusted(
+            tuple([(p, e if type(e) is int else _exponent(e)) for p, e in sorted(exps.items()) if e])
+        )
 
     @classmethod
     def from_int(cls, n: int) -> "PrimePowerProduct":

@@ -7,6 +7,7 @@ because logarithms of distinct primes are linearly independent over Q.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import Counter
@@ -16,8 +17,25 @@ from typing import NamedTuple
 
 from mpmath import iv, mp
 
-from .errors import DegenerateParameters, NonPositiveParameter, NonRationalTuple, OversizedValue
-from .exact import ONE, PrimePowerProduct, check_precision, iv_precision, log_interval
+from .errors import (
+    DegenerateParameters,
+    NonPositiveParameter,
+    NonRationalTuple,
+    OversizedValue,
+    PointBudgetExceeded,
+)
+from .exact import (
+    ONE,
+    PrimePowerProduct,
+    _exponent,
+    check_precision,
+    factorize,
+    iv_precision,
+    log_interval,
+)
+
+# The largest search box, in (b, c) pairs; the size of transforms.POINT_BUDGET.
+SEARCH_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -25,6 +43,8 @@ class SolutionTuple:
     """One solution (x, y, v, w) of x^y y^x = v^w w^v.
 
     params holds the generating parameters (a, b, c or b, c) when applicable.
+    as_fractions multiplies the members out once and keeps them in the
+    instance's __dict__, outside the compared and hashed fields.
     """
 
     x: PrimePowerProduct
@@ -41,9 +61,12 @@ class SolutionTuple:
         return all(u.is_rational for u in self.values())
 
     def as_fractions(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        if not self.is_rational:
-            raise NonRationalTuple(f"tuple has irrational members: {self}")
-        return tuple(u.to_fraction() for u in self.values())
+        fractions = self.__dict__.get("_fractions")
+        if fractions is None:
+            if not self.is_rational:
+                raise NonRationalTuple(f"tuple has irrational members: {self}")
+            fractions = self.__dict__["_fractions"] = tuple(u.to_fraction() for u in self.values())
+        return fractions
 
     def __str__(self) -> str:
         return "(%s, %s, %s, %s)" % self.values()
@@ -68,10 +91,19 @@ def pair_identity(x: Fraction, y: Fraction) -> ScalarIdentity:
     return ScalarIdentity(vx**y, vy**x)
 
 
+def _side(x: PrimePowerProduct, y: PrimePowerProduct, xq: Fraction, yq: Fraction) -> PrimePowerProduct:
+    """x^y y^x as one exponent map, y vec(x) + x vec(y), for the values xq and yq of x and y."""
+    r, s = _exponent(yq), _exponent(xq)
+    exps = {p: r * e for p, e in x.factors}
+    for p, e in y.factors:
+        exps[p] = exps.get(p, 0) + s * e
+    return PrimePowerProduct._from_map(exps)
+
+
 def quad_identity(t: SolutionTuple) -> ScalarIdentity:
     """x^y y^x against v^w w^v, for a rational-valued tuple."""
     xq, yq, vq, wq = t.as_fractions()
-    return ScalarIdentity((t.x**yq) * (t.y**xq), (t.v**wq) * (t.w**vq))
+    return ScalarIdentity(_side(t.x, t.y, xq, yq), _side(t.v, t.w, vq, wq))
 
 
 @dataclass(frozen=True)
@@ -130,11 +162,28 @@ def rational_family(b: int, c: int) -> SolutionTuple:
     """The always-rational family a = b+c: x = b^c c^b/(b+c), y = b^c c^b, v = bx, w = cx."""
     if b < 1 or c < 1:
         raise NonPositiveParameter(f"b and c must be >= 1, got b={b}, c={c}")
-    vb = PrimePowerProduct.from_int(b)
-    vc = PrimePowerProduct.from_int(c)
-    y = vb**c * vc**b
-    x = y * PrimePowerProduct.from_int(b + c) ** -1
-    return SolutionTuple(x, y, vb * x, vc * x, params=(Fraction(b), Fraction(c)))
+    return _family(b, c, factorize(b), factorize(c), factorize(b + c))
+
+
+def _family(b: int, c: int, fb, fc, fa) -> SolutionTuple:
+    """rational_family(b, c) from the factorizations fb, fc and fa of b, c and a = b+c.
+
+    Each member is one exponent map: y = c vec(b) + b vec(c),
+    x = y - vec(a), v = x + vec(b) and w = x + vec(c).
+    """
+    y = {p: c * e for p, e in fb}
+    for p, e in fc:
+        y[p] = y.get(p, 0) + b * e
+    x = y.copy()
+    for p, e in fa:
+        x[p] = x.get(p, 0) - e
+    v, w = x.copy(), x.copy()
+    for p, e in fb:
+        v[p] = v.get(p, 0) + e
+    for p, e in fc:
+        w[p] = w.get(p, 0) + e
+    f = PrimePowerProduct._from_map
+    return SolutionTuple(f(x), f(y), f(v), f(w), params=(Fraction(b), Fraction(c)))
 
 
 def verify_product_equation(t: SolutionTuple) -> bool:
@@ -198,8 +247,23 @@ def classify_triviality(t: SolutionTuple) -> TrivialityVerdict:
 
 
 def _family_is_integral(b: int, c: int) -> bool:
-    """Whether (b+c) divides b^c c^b, by the gcd test of search_integer_solutions."""
-    return pow(math.gcd(b, c), (b + c).bit_length(), b + c) == 0
+    """Whether (b+c) divides b^c c^b, by the gcd test of search_integer_solutions.
+
+    g = 1 fails it at once, as b+c >= 2.
+    """
+    g = math.gcd(b, c)
+    return g > 1 and pow(g, (b + c).bit_length(), b + c) == 0
+
+
+def check_search_box(b_max: int, c_max: int) -> None:
+    """Refuse search bounds below 1, and boxes of more than SEARCH_BUDGET (b, c) pairs."""
+    if b_max < 1 or c_max < 1:
+        raise NonPositiveParameter(f"bounds must be >= 1, got ({b_max}, {c_max})")
+    if b_max * c_max > SEARCH_BUDGET:
+        raise PointBudgetExceeded(
+            f"the {b_max} x {c_max} search box has {b_max * c_max} (b, c) pairs, "
+            f"more than the limit of {SEARCH_BUDGET}"
+        )
 
 
 def search_integer_solutions(b_max: int, c_max: int) -> list[SolutionTuple]:
@@ -214,11 +278,15 @@ def search_integer_solutions(b_max: int, c_max: int) -> list[SolutionTuple]:
     divides b or c, and so both, as p | b+c.  Conversely, if p | g, then
     v_p(b^c c^b) >= b+c > v_p(b+c).  As v_p(b+c) < bitlen(b+c), the test is
     g^bitlen(b+c) = 0 (mod b+c).
+
+    Each integer among the b, c and b+c of the rows found is factored once,
+    when a row first needs it.  A box of more than SEARCH_BUDGET pairs is
+    refused (check_search_box).
     """
-    if b_max < 1 or c_max < 1:
-        raise NonPositiveParameter(f"bounds must be >= 1, got ({b_max}, {c_max})")
+    check_search_box(b_max, c_max)
+    fac = functools.cache(factorize)
     return [
-        rational_family(b, c)
+        _family(b, c, fac(b), fac(c), fac(b + c))
         for b in range(1, b_max + 1)
         for c in range(1, c_max + 1)
         if _family_is_integral(b, c)

@@ -434,6 +434,27 @@ class TestSearch:
         assert proc.returncode == 1 and doc["status"] == "error"
         assert doc["message"] == "results.solutions[5005].x has more than 4300 decimal digits"
 
+    @pytest.mark.parametrize("bounds", [("100000000", "1"), ("1", "10000001"), ("3163", "3163")])
+    def test_box_over_the_limit_is_refused_at_once(self, bounds):
+        # without the limit, 100000000 x 1 scans 10^8 pairs twice, for minutes
+        script = (
+            "import sys, time\n"
+            "from xyyx.cli import main\n"
+            "t0 = time.perf_counter()\n"
+            "code = main(['search', *sys.argv[1:], '--json'])\n"
+            "print(time.perf_counter() - t0, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = run_child(script, *bounds)
+        assert float(proc.stderr) < 1.0
+        doc = json.loads(proc.stdout)
+        assert proc.returncode == 1 and doc["status"] == "error"
+        b_max, c_max = map(int, bounds)
+        assert doc["message"] == (
+            f"the {b_max} x {c_max} search box has {b_max * c_max} (b, c) pairs, "
+            "more than the limit of 10000000"
+        )
+
     @pytest.mark.parametrize("bounds", [("300", "300"), ("12", "40"), ("100", "100")])
     def test_same_record_as_rendering_every_row(self, capsys, bounds):
         # at the smallest digit limit, the early refusal names the field that

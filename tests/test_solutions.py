@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -7,16 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from xyyx import solutions
-from xyyx.errors import DegenerateParameters, NonPositiveParameter, NonRationalTuple, OversizedValue
+from xyyx import solutions, transforms
+from xyyx.errors import (
+    DegenerateParameters,
+    NonPositiveParameter,
+    NonRationalTuple,
+    OversizedValue,
+    PointBudgetExceeded,
+)
 from xyyx.exact import ONE, PrimePowerProduct
 from xyyx.solutions import (
+    ScalarIdentity,
+    SolutionTuple,
     classify_triviality,
     euler_solution,
     first_oversized_row,
     general_solution,
     manual_tuple,
     numeric_verify,
+    quad_identity,
     rational_family,
     search_integer_solutions,
     verify_fractions,
@@ -361,3 +371,141 @@ class TestCanonicalExponents:
             for c in range(1, 9):
                 for u in rational_family(b, c).values():
                     assert all(type(e) is int for _, e in u.factors), (b, c, u)
+
+
+# The algebra rational_family and quad_identity used before their one-pass
+# builders: powers and products of whole prime-power products.
+def reference_family(b: int, c: int) -> SolutionTuple:
+    vb, vc = PrimePowerProduct.from_int(b), PrimePowerProduct.from_int(c)
+    y = vb**c * vc**b
+    x = y * PrimePowerProduct.from_int(b + c) ** -1
+    return SolutionTuple(x, y, vb * x, vc * x, params=(F(b), F(c)))
+
+
+def reference_identity(t: SolutionTuple) -> ScalarIdentity:
+    xq, yq, vq, wq = (u.to_fraction() for u in t.values())
+    return ScalarIdentity((t.x**yq) * (t.y**xq), (t.v**wq) * (t.w**vq))
+
+
+def canonical(u: PrimePowerProduct) -> bool:
+    """Every integral exponent an int, every other one a Fraction."""
+    return all(type(e) is int or (type(e) is F and e.denominator != 1) for _, e in u.factors)
+
+
+def exact_mix_verify_tuples() -> list[tuple[F, F, F, F]]:
+    """Tuples of the shapes the benchmark's verify requests send, true and false."""
+    tuples = [(F(1, 3), F(1, 6), F(1, 2), F(4, 3)), (F(2), F(3), F(2), F(4))]
+    for b, c in ((1, 1), (2, 1), (3, 5), (6, 2), (8, 7)):
+        x, y, v, w = rational_family(b, c).as_fractions()
+        tuples += [(x, y, v, w), (y, x, w, v), (v, w, x, y), (w, v, y, x + 1), (x, y, v, w + F(2, 3))]
+    x, y = F(1000003 * 1000033, 7), F(5, 3)
+    tuples += [(x, y, y, x), (x, y, y, F(1000003 * 1000037, 7))]
+    return tuples
+
+
+class TestOnePassBuilders:
+    def test_rational_family_matches_the_reference_to_30(self):
+        for b in range(1, 31):
+            for c in range(1, 31):
+                t = rational_family(b, c)
+                assert t == reference_family(b, c), (b, c)
+                assert all(type(e) is int for u in t.values() for _, e in u.factors), (b, c)
+
+    def test_quad_identity_matches_the_reference(self):
+        tuples = [rational_family(b, c) for b in range(1, 31) for c in range(1, 31)]
+        tuples += [manual_tuple(*vals) for vals in exact_mix_verify_tuples()]
+        for a in range(1, 7):
+            for b in range(1, 5):
+                for c in range(1, 5):
+                    if a + 1 != b + c:
+                        t = general_solution(F(a), F(b), F(c))
+                        if t.is_rational:
+                            tuples.append(t)
+        assert len(tuples) > 950
+        for t in tuples:
+            identity = quad_identity(t)
+            assert identity == reference_identity(t), t
+            assert canonical(identity.left) and canonical(identity.right), t
+
+    def test_false_tuples_stay_false(self):
+        assert not verify_fractions(F(2), F(3), F(2), F(4))
+        assert not quad_identity(manual_tuple(F(2), F(3), F(2), F(4))).holds
+        x, y, v, w = rational_family(6, 2).as_fractions()
+        assert verify_fractions(x, y, v, w)
+        for bumped in ((x + 1, y, v, w), (x, y + 1, v, w), (x, y, v + 1, w), (x, y, v, w + 1)):
+            assert not quad_identity(manual_tuple(*bumped)).holds, bumped
+            assert not reference_identity(manual_tuple(*bumped)).holds, bumped
+
+
+class TestOnePassCounts:
+    @staticmethod
+    def counted_factorize(monkeypatch) -> Counter:
+        calls: Counter = Counter()
+        factorize = solutions.factorize
+
+        def counted(n):
+            calls[n] += 1
+            return factorize(n)
+
+        monkeypatch.setattr(solutions, "factorize", counted)
+        return calls
+
+    def test_search_factors_each_integer_at_most_once(self, monkeypatch):
+        calls = self.counted_factorize(monkeypatch)
+        found = search_integer_solutions(60, 60)
+        needed = {int(n) for t in found for n in (*t.params, sum(t.params))}
+        assert set(calls) == needed
+        assert max(calls.values()) == 1
+        assert [t.params for t in found] == literal_scan(60, 60)
+
+    def test_a_box_with_no_integral_row_factors_nothing(self, monkeypatch):
+        calls = self.counted_factorize(monkeypatch)
+        assert search_integer_solutions(20000, 1) == []
+        assert not calls
+
+    def test_as_fractions_multiplies_each_member_out_once(self, monkeypatch):
+        calls = []
+        to_fraction = PrimePowerProduct.to_fraction
+
+        def counted(u):
+            calls.append(u)
+            return to_fraction(u)
+
+        monkeypatch.setattr(PrimePowerProduct, "to_fraction", counted)
+        for t in (rational_family(6, 2), manual_tuple(F(1, 3), F(1, 6), F(1, 2), F(4, 3))):
+            calls.clear()
+            first = t.as_fractions()
+            assert verify_product_equation(t) and quad_identity(t).holds
+            assert t.as_fractions() is first
+            assert calls == list(t.values())
+
+    def test_cached_fractions_leave_equality_and_hash_alone(self):
+        t, u = rational_family(6, 2), rational_family(6, 2)
+        t.as_fractions()
+        assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
+
+    def test_irrational_tuple_raises_on_every_call(self):
+        t = general_solution(F(5), F(2), F(1))
+        for _ in range(3):
+            with pytest.raises(NonRationalTuple):
+                t.as_fractions()
+            with pytest.raises(NonRationalTuple):
+                quad_identity(t)
+
+
+class TestSearchBox:
+    def test_limit_is_the_point_budget(self):
+        assert solutions.SEARCH_BUDGET == transforms.POINT_BUDGET == 10**7
+
+    def test_boxes_within_the_limit_pass(self):
+        for b_max, c_max in ((10**7, 1), (1, 10**7), (3162, 3162), (1, 1)):
+            solutions.check_search_box(b_max, c_max)
+
+    @pytest.mark.parametrize("b_max,c_max", [(10**7 + 1, 1), (1, 10**8), (3163, 3163)])
+    def test_larger_boxes_are_refused_before_the_scan(self, b_max, c_max):
+        with pytest.raises(PointBudgetExceeded, match=f"more than the limit of {10**7}$"):
+            search_integer_solutions(b_max, c_max)
+
+    def test_bounds_below_one_are_refused_first(self):
+        with pytest.raises(NonPositiveParameter):
+            search_integer_solutions(0, 10**9)
