@@ -230,6 +230,36 @@ def cmd_euler(args) -> dict:
     return _result("euler", {"n_max": args.n_max}, {"solutions": rows})
 
 
+def _log2_bounds(u: PrimePowerProduct) -> tuple[int, int]:
+    """(lo, hi) with 2^lo <= n <= 2^hi for n the larger of u's numerator and denominator.
+
+    Read off the int exponents, as bitlen(p) - 1 <= log2 p < bitlen(p).
+    """
+    lo, hi = [0, 0], [0, 0]
+    for p, e in u.factors:
+        side = e < 0
+        lo[side] += abs(e) * (p.bit_length() - 1)
+        hi[side] += abs(e) * p.bit_length()
+    return max(lo), max(hi)
+
+
+def _first_oversized_member(t, limit: int) -> str | None:
+    """The first of the rational tuple's x, y, v, w, in record order, that surely has
+    more than limit decimal digits while every member before it surely has fewer;
+    None when none does, or when a member's bounds cannot tell.
+
+    As 2^(3 limit) < 10^limit <= 2^(4 limit), lo >= 4 limit is surely too long
+    and hi <= 3 limit surely short enough (_log2_bounds).
+    """
+    for name, u in zip("xyvw", t.values()):
+        lo, hi = _log2_bounds(u)
+        if lo >= 4 * limit:
+            return name
+        if hi > 3 * limit:
+            return None
+    return None
+
+
 def _tuple_payload(t, verified: bool, mode: str) -> dict:
     verdict = classify_triviality(t)
     if t.is_rational:
@@ -254,6 +284,10 @@ def cmd_family(args) -> dict:
         inputs["a"] = a
         t = general_solution(a, Fraction(args.b), Fraction(args.c))
     if t.is_rational:
+        limit = sys.get_int_max_str_digits()
+        oversized = limit and _first_oversized_member(t, limit)
+        if oversized:  # the error _render would give, before the members are multiplied out
+            raise _oversized(f"results.{oversized}")
         payload = _tuple_payload(t, verify_product_equation(t), "exact")
     else:
         ok, _ = numeric_verify(t, args.precision)
@@ -271,10 +305,14 @@ def cmd_verify(args) -> dict:
 
 def cmd_digits(args) -> dict:
     t = rational_family(args.b, args.c)
-    if not all(q.denominator == 1 for q in t.as_fractions()):
+    if any(e < 0 for _, e in t.x.factors):  # y, v and w are integer multiples of x
         raise NonIntegerValue(
             f"family ({args.b}, {args.c}) is not integer-valued: x = {t.x}"
         )
+    # digits > y log10 x >= 2^ly lx / 4, which has more than limit digits once ly >= 4 limit + 2
+    limit, lx, ly = sys.get_int_max_str_digits(), _log2_bounds(t.x)[0], _log2_bounds(t.y)[0]
+    if limit and lx and ly >= 4 * limit + 2:
+        raise _oversized("results.digits")
     common = quad_identity(t).left
     digits = _printable(digit_count(common), "results.digits")  # scientific prints it below
     enc = log10_interval(common, args.precision)

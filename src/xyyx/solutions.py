@@ -150,40 +150,39 @@ def general_solution(a: Fraction, b: Fraction, c: Fraction) -> SolutionTuple:
         raise NonPositiveParameter(f"b and c must be positive, got b={b}, c={c}")
     if a < 0:
         raise NonPositiveParameter(f"scalar multiplier a must be positive, got a={a}")
-    va = PrimePowerProduct.from_fraction(a)
-    vb = PrimePowerProduct.from_fraction(b)
-    vc = PrimePowerProduct.from_fraction(c)
-    base = vb**c * vc**b * va**-1
-    x = base ** (1 / (a - b - c + 1))
-    return SolutionTuple(x, va * x, vb * x, vc * x, params=(a, b, c))
+    fa, fb, fc = (PrimePowerProduct.from_fraction(q).factors for q in (a, b, c))
+    return _family(a, b, c, fa, fb, fc, (a, b, c))
 
 
 def rational_family(b: int, c: int) -> SolutionTuple:
     """The always-rational family a = b+c: x = b^c c^b/(b+c), y = b^c c^b, v = bx, w = cx."""
     if b < 1 or c < 1:
         raise NonPositiveParameter(f"b and c must be >= 1, got b={b}, c={c}")
-    return _family(b, c, factorize(b), factorize(c), factorize(b + c))
+    return _family(b + c, b, c, factorize(b + c), factorize(b), factorize(c), (Fraction(b), Fraction(c)))
 
 
-def _family(b: int, c: int, fb, fc, fa) -> SolutionTuple:
-    """rational_family(b, c) from the factorizations fb, fc and fa of b, c and a = b+c.
+def _family(a, b, c, fa, fb, fc, params: tuple[Fraction, ...]) -> SolutionTuple:
+    """The tuple y = a x, v = b x, w = c x from the exponent lists fa, fb and fc of a, b and c.
 
-    Each member is one exponent map: y = c vec(b) + b vec(c),
-    x = y - vec(a), v = x + vec(b) and w = x + vec(c).
+    Each member is one exponent map: x = (c vec(b) + b vec(c) - vec(a)) / t
+    with t = a - b - c + 1, then y = x + vec(a), v = x + vec(b) and
+    w = x + vec(c).  For t = 1, the a = b + c family, no Fraction is made
+    from int a, b and c.
     """
-    y = {p: c * e for p, e in fb}
+    x = {p: c * e for p, e in fb}
     for p, e in fc:
-        y[p] = y.get(p, 0) + b * e
-    x = y.copy()
+        x[p] = x.get(p, 0) + b * e
     for p, e in fa:
         x[p] = x.get(p, 0) - e
-    v, w = x.copy(), x.copy()
-    for p, e in fb:
-        v[p] = v.get(p, 0) + e
-    for p, e in fc:
-        w[p] = w.get(p, 0) + e
-    f = PrimePowerProduct._from_map
-    return SolutionTuple(f(x), f(y), f(v), f(w), params=(Fraction(b), Fraction(c)))
+    t = a - b - c + 1
+    if t != 1:
+        x = {p: e / t for p, e in x.items()}
+    y, v, w = x.copy(), x.copy(), x.copy()
+    for member, f in ((y, fa), (v, fb), (w, fc)):
+        for p, e in f:
+            member[p] = member.get(p, 0) + e
+    m = PrimePowerProduct._from_map
+    return SolutionTuple(m(x), m(y), m(v), m(w), params=params)
 
 
 def verify_product_equation(t: SolutionTuple) -> bool:
@@ -286,7 +285,7 @@ def search_integer_solutions(b_max: int, c_max: int) -> list[SolutionTuple]:
     check_search_box(b_max, c_max)
     fac = functools.cache(factorize)
     return [
-        _family(b, c, fac(b), fac(c), fac(b + c))
+        _family(b + c, b, c, fac(b + c), fac(b), fac(c), (Fraction(b), Fraction(c)))
         for b in range(1, b_max + 1)
         for c in range(1, c_max + 1)
         if _family_is_integral(b, c)

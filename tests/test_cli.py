@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 
 from xyyx.cli import _render, build_parser, main, mpf_hex, parse_rational
 from xyyx.errors import OversizedValue
-from xyyx.solutions import search_integer_solutions
+from xyyx.exact import digit_count
+from xyyx.solutions import general_solution, rational_family, search_integer_solutions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -256,6 +258,99 @@ class TestOversizedValues:
         assert code == 1 and doc["status"] == "error"
         assert doc["message"] == f"{field} has more than {sys.get_int_max_str_digits()} decimal digits"
         assert "set_int_max_str_digits" not in doc["message"]
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("digits", "20000", "20000"), "results.digits"),
+            (("digits", "60000", "60000"), "results.digits"),
+            (("family", "2000000", "2000000"), "results.x"),
+            (("family", "200000", "200000", "--a", "400000"), "results.x"),
+        ],
+    )
+    def test_oversized_family_is_refused_at_once(self, argv, field):
+        # without the bounds, digits 20000 20000 takes 40 s in digit_count's
+        # logs and family 2000000 2000000 80 s multiplying its members out
+        script = (
+            "import sys, time\n"
+            "sys.set_int_max_str_digits(4300)\n"
+            "from xyyx.cli import main\n"
+            "t0 = time.perf_counter()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(time.perf_counter() - t0, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = run_child(script, argv[0], "--json", *argv[1:])
+        assert float(proc.stderr) < 1.0
+        doc = json.loads(proc.stdout)
+        assert proc.returncode == 1 and doc["status"] == "error"
+        assert doc["message"] == f"{field} has more than 4300 decimal digits"
+
+    def test_digits_same_record_as_the_full_computation(self, capsys, monkeypatch):
+        # at the smallest digit limit the digit counts pass it near b = c = 147;
+        # an early refusal names what digit_count and rendering would
+        from xyyx import cli
+
+        quad_identity = cli.quad_identity
+        built = []
+        monkeypatch.setattr(cli, "quad_identity", lambda t: built.append(t) or quad_identity(t))
+        pairs = [(b, c) for b in range(96, 320, 16) for c in range(96, 320, 16)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            outcomes = Counter()
+            for b, c in pairs:
+                built.clear()
+                code, doc = run_json(capsys, "digits", str(b), str(c))
+                t = rational_family(b, c)
+                if any(e < 0 for _, e in t.x.factors):
+                    assert code == 1 and "is not integer-valued" in doc["message"], (b, c)
+                    continue
+                digits = digit_count(quad_identity(t).left)
+                try:
+                    expected = {"digits": int(str(digits))}
+                except ValueError:
+                    expected = {"message": "results.digits has more than 640 decimal digits"}
+                got = {key: doc["results"].get(key, doc["message"]) for key in expected}
+                assert got == expected and code == ("message" in expected), (b, c)
+                outcomes[code, bool(built)] += 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+        # answered, refused after the full computation and refused at once
+        assert outcomes[0, True] and outcomes[1, True] and outcomes[1, False], outcomes
+
+    def test_family_same_record_as_rendering_every_member(self, capsys, monkeypatch):
+        # at the smallest digit limit, x passes it near b = c = 147 for a = b + c;
+        # a = b + c - 2 gives x = a / (b^c c^b) and a = b + c - 1/2 squares x
+        from xyyx import cli
+
+        verify = cli.verify_product_equation
+        verified = []
+        monkeypatch.setattr(cli, "verify_product_equation", lambda t: verified.append(t) or verify(t))
+        argvs = []
+        for b in range(40, 300, 20):
+            for c in range(40, 300, 20):
+                argvs.append((b, c, None))
+                argvs += [(b, c, a) for a in (F(b + c), F(b + c - 2), b + c - F(1, 2))]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            outcomes = Counter()
+            for b, c, a in argvs:
+                verified.clear()
+                flags = [] if a is None else ["--a", str(a)]
+                code, doc = run_json(capsys, "family", str(b), str(c), *flags)
+                t = rational_family(b, c) if a is None else general_solution(a, F(b), F(c))
+                members = {name: u.to_fraction() for name, u in zip("xyvw", t.values())}
+                try:
+                    _render({"results": members}, None)
+                    assert code == 0 and doc["results"]["x"] == str(members["x"]), (b, c, a)
+                except OversizedValue as exc:
+                    assert code == 1 and doc["message"] == str(exc), (b, c, a)
+                outcomes[code, bool(verified)] += 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert outcomes[0, True] and outcomes[1, True] and outcomes[1, False], outcomes
 
     def test_render_tries_ints(self):
         limit = sys.get_int_max_str_digits()

@@ -154,7 +154,9 @@ class TestRationalFamily:
     def test_consistent_with_general_solution(self):
         for b in range(1, 9):
             for c in range(1, 9):
-                assert general_solution(F(b + c), F(b), F(c)).values() == rational_family(b, c).values()
+                t = general_solution(F(b + c), F(b), F(c))
+                assert t.values() == rational_family(b, c).values()
+                assert all(type(e) is int for u in t.values() for _, e in u.factors), (b, c)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveParameter):
@@ -491,6 +493,66 @@ class TestOnePassCounts:
                 t.as_fractions()
             with pytest.raises(NonRationalTuple):
                 quad_identity(t)
+
+
+# The algebra general_solution used before it went through the family
+# builder: powers and products of whole prime-power products.
+def reference_general(a: F, b: F, c: F) -> SolutionTuple:
+    va, vb, vc = (PrimePowerProduct.from_fraction(q) for q in (a, b, c))
+    x = (vb**c * vc**b * va**-1) ** (1 / (a - b - c + 1))
+    return SolutionTuple(x, va * x, vb * x, vc * x, params=(a, b, c))
+
+
+# The benchmark's family --a parameters, and the quads of its transform slots
+FAMILY_A_GRID = [
+    (a, F(b), F(c))
+    for a in (F(1, 3), F(1, 2), F(2, 3), F(1), F(4, 3), F(3, 2), F(2), F(5, 2), F(3))
+    for b in range(1, 5)
+    for c in range(1, 5)
+    if a + 1 != b + c
+]
+QUADS = [(5, 3, 2), (6, 4, 2), (6, 3, 3), (7, 4, 3), (7, 5, 2), (8, 6, 2), (9, 6, 3), (4, 2, 2), (3, 2, 1)]
+
+
+class TestOneBuilder:
+    @staticmethod
+    def check(a, b, c):
+        t = general_solution(a, b, c)
+        assert t == reference_general(a, b, c), (a, b, c)
+        assert all(canonical(u) for u in t.values()), (a, b, c)
+        return t
+
+    def test_family_a_grid_matches_the_reference(self):
+        rational = [self.check(*abc).is_rational for abc in FAMILY_A_GRID]
+        assert len(rational) == 138 and 0 < sum(rational) < len(rational)
+
+    def test_quads_match_the_reference(self):
+        for a, b, c in QUADS:
+            assert self.check(F(a), F(b), F(c)).is_rational, (a, b, c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(*[st.fractions(min_value=F(1, 6), max_value=9, max_denominator=6)] * 3)
+    def test_small_rationals_match_the_reference(self, a, b, c):
+        if a + 1 != b + c:
+            self.check(a, b, c)
+
+    def test_no_product_algebra(self, monkeypatch):
+        calls = Counter()
+        for name in ("__mul__", "__pow__"):
+            original = getattr(PrimePowerProduct, name)
+
+            def counted(u, other, name=name, original=original):
+                calls[name] += 1
+                return original(u, other)
+
+            monkeypatch.setattr(PrimePowerProduct, name, counted)
+        assert ONE * ONE == ONE and calls["__mul__"] == 1  # the counter is in place
+        calls.clear()
+        for a, b, c in FAMILY_A_GRID + [tuple(map(F, q)) for q in QUADS]:
+            general_solution(a, b, c)
+        rational_family(6, 2)
+        search_integer_solutions(30, 30)
+        assert not calls
 
 
 class TestSearchBox:
