@@ -36,12 +36,11 @@ from mpmath import mp
 
 from . import __version__
 from .errors import NonIntegerValue, NonPositiveParameter, OversizedValue
-from .exact import PrimePowerProduct, check_precision, digit_count, log10_interval
+from .exact import PrimePowerProduct, check_precision, digit_count, log10_interval, log2_bounds
 from .solutions import (
-    check_search_box,
     classify_triviality,
     euler_solution,
-    first_oversized_row,
+    first_oversized_member,
     general_solution,
     manual_tuple,
     numeric_verify,
@@ -52,13 +51,15 @@ from .solutions import (
     verify_product_equation,
 )
 from .transforms import (
+    POINT_BUDGET,
     check_point_budget,
+    estimated_points,
     pair_from_euler,
     quad_from_family,
     verify_pair_transform,
     verify_quad_transform,
 )
-from .vpv import Convention, EvalReport, Form, eval_product
+from .vpv import Convention, EvalReport, Form, check_box, eval_product
 
 PRECISION_ENV = "VPV_PRECISION_BITS"
 DEFAULT_PRECISION = 256
@@ -68,10 +69,15 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" with optional sign; decimals are rejected."""
+    """Parse "p/q" or "p" with optional sign; decimals are rejected, and so is a
+    term with more digits than the interpreter's int-to-str digit limit."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational of the form p/q or p: {text!r}")
+    limit = sys.get_int_max_str_digits()
+    for term, digits in zip(("numerator", "denominator"), s.lstrip("+-").split("/")):
+        if limit and len(digits) > limit:
+            raise OversizedValue(f"the {term} of a rational argument has more than {limit} decimal digits")
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -230,36 +236,6 @@ def cmd_euler(args) -> dict:
     return _result("euler", {"n_max": args.n_max}, {"solutions": rows})
 
 
-def _log2_bounds(u: PrimePowerProduct) -> tuple[int, int]:
-    """(lo, hi) with 2^lo <= n <= 2^hi for n the larger of u's numerator and denominator.
-
-    Read off the int exponents, as bitlen(p) - 1 <= log2 p < bitlen(p).
-    """
-    lo, hi = [0, 0], [0, 0]
-    for p, e in u.factors:
-        side = e < 0
-        lo[side] += abs(e) * (p.bit_length() - 1)
-        hi[side] += abs(e) * p.bit_length()
-    return max(lo), max(hi)
-
-
-def _first_oversized_member(t, limit: int) -> str | None:
-    """The first of the rational tuple's x, y, v, w, in record order, that surely has
-    more than limit decimal digits while every member before it surely has fewer;
-    None when none does, or when a member's bounds cannot tell.
-
-    As 2^(3 limit) < 10^limit <= 2^(4 limit), lo >= 4 limit is surely too long
-    and hi <= 3 limit surely short enough (_log2_bounds).
-    """
-    for name, u in zip("xyvw", t.values()):
-        lo, hi = _log2_bounds(u)
-        if lo >= 4 * limit:
-            return name
-        if hi > 3 * limit:
-            return None
-    return None
-
-
 def _tuple_payload(t, verified: bool, mode: str) -> dict:
     verdict = classify_triviality(t)
     if t.is_rational:
@@ -285,7 +261,7 @@ def cmd_family(args) -> dict:
         t = general_solution(a, Fraction(args.b), Fraction(args.c))
     if t.is_rational:
         limit = sys.get_int_max_str_digits()
-        oversized = limit and _first_oversized_member(t, limit)
+        oversized = limit and first_oversized_member(t, limit)
         if oversized:  # the error _render would give, before the members are multiplied out
             raise _oversized(f"results.{oversized}")
         payload = _tuple_payload(t, verify_product_equation(t), "exact")
@@ -310,7 +286,7 @@ def cmd_digits(args) -> dict:
             f"family ({args.b}, {args.c}) is not integer-valued: x = {t.x}"
         )
     # digits > y log10 x >= 2^ly lx / 4, which has more than limit digits once ly >= 4 limit + 2
-    limit, lx, ly = sys.get_int_max_str_digits(), _log2_bounds(t.x)[0], _log2_bounds(t.y)[0]
+    limit, lx, ly = sys.get_int_max_str_digits(), log2_bounds(t.x)[0], log2_bounds(t.y)[0]
     if limit and lx and ly >= 4 * limit + 2:
         raise _oversized("results.digits")
     common = quad_identity(t).left
@@ -367,7 +343,15 @@ def cmd_transform(args) -> dict:
         verify = verify_pair_transform
     else:
         a, b, c = (parse_rational(s) for s in args.abc)
-        inst = quad_from_family(a, b, c)
+        try:  # a parameter past the digit limit is refused before it is multiplied out
+            inst = quad_from_family(a, b, c, sys.get_int_max_str_digits())
+        except OversizedValue as exc:
+            # the verification runs before printing: it refuses a box below 1 at
+            # once, and a box over the point budget if the tails reach the tolerance
+            check_box(args.truncation, args.truncation)
+            if estimated_points(4, args.truncation) <= POINT_BUDGET:
+                raise OversizedValue(f"results.{exc}") from None
+            inst = quad_from_family(a, b, c)
         inputs = {"a": a, "b": b, "c": c}
         verify = verify_quad_transform
     report = verify(
@@ -399,13 +383,10 @@ def cmd_transform(args) -> dict:
 
 
 def cmd_search(args) -> dict:
-    check_search_box(args.b_max, args.c_max)
-    limit = sys.get_int_max_str_digits()
-    oversized = limit and first_oversized_row(args.b_max, args.c_max, limit)
-    if oversized:  # the error _printable would give, before any tuple is built
-        row, name = oversized
-        raise _oversized(f"results.solutions[{row}].{name}")
-    found = search_integer_solutions(args.b_max, args.c_max)
+    try:  # the first row past the digit limit is refused by the scan, before any tuple is built
+        found = search_integer_solutions(args.b_max, args.c_max, sys.get_int_max_str_digits())
+    except OversizedValue as exc:
+        raise OversizedValue(f"results.{exc}") from None
     rows = []
     for t in found:
         b, c = t.params

@@ -402,6 +402,19 @@ def log_interval(u: PrimePowerProduct, unit=1):
     return total
 
 
+def log2_bounds(u: PrimePowerProduct) -> tuple[int, int]:
+    """(lo, hi) with 2^lo <= n <= 2^hi for n the larger of u's numerator and denominator.
+
+    Read off the int exponents, as bitlen(p) - 1 <= log2 p < bitlen(p).
+    """
+    lo, hi = [0, 0], [0, 0]
+    for p, e in u.factors:
+        side = e < 0
+        lo[side] += abs(e) * (p.bit_length() - 1)
+        hi[side] += abs(e) * p.bit_length()
+    return max(lo), max(hi)
+
+
 def _whole_bits(u: PrimePowerProduct) -> int:
     """Bits of sum((|e_p| + 1) * bitlen(p)), a bound on |log10 u| as log10 p < bitlen(p)."""
     return sum((int(abs(e)) + 1) * p.bit_length() for p, e in u.factors).bit_length()

@@ -31,6 +31,7 @@ from .exact import (
     check_precision,
     factorize,
     iv_precision,
+    log2_bounds,
     log_interval,
 )
 
@@ -245,6 +246,23 @@ def classify_triviality(t: SolutionTuple) -> TrivialityVerdict:
     return TrivialityVerdict(False, "none")
 
 
+def first_oversized_member(t: SolutionTuple, limit: int) -> str | None:
+    """The first of the rational tuple's x, y, v, w, in record order, that surely has
+    more than limit decimal digits while every member before it surely has fewer;
+    None when none does, or when a member's bounds cannot tell.
+
+    As 2^(3 limit) < 10^limit <= 2^(4 limit), lo >= 4 limit is surely too long
+    and hi <= 3 limit surely short enough (log2_bounds).
+    """
+    for name, u in zip("xyvw", t.values()):
+        lo, hi = log2_bounds(u)
+        if lo >= 4 * limit:
+            return name
+        if hi > 3 * limit:
+            return None
+    return None
+
+
 def _family_is_integral(b: int, c: int) -> bool:
     """Whether (b+c) divides b^c c^b, by the gcd test of search_integer_solutions.
 
@@ -265,7 +283,7 @@ def check_search_box(b_max: int, c_max: int) -> None:
         )
 
 
-def search_integer_solutions(b_max: int, c_max: int) -> list[SolutionTuple]:
+def search_integer_solutions(b_max: int, c_max: int, digits: int = 0) -> list[SolutionTuple]:
     """All-integer family tuples with 1 <= b <= b_max, 1 <= c <= c_max.
 
     The family value x = b^c c^b/(b+c) is integral iff (b+c) divides b^c c^b;
@@ -281,36 +299,28 @@ def search_integer_solutions(b_max: int, c_max: int) -> list[SolutionTuple]:
     Each integer among the b, c and b+c of the rows found is factored once,
     when a row first needs it.  A box of more than SEARCH_BUDGET pairs is
     refused (check_search_box).
-    """
-    check_search_box(b_max, c_max)
-    fac = functools.cache(factorize)
-    return [
-        _family(b + c, b, c, fac(b + c), fac(b), fac(c), (Fraction(b), Fraction(c)))
-        for b in range(1, b_max + 1)
-        for c in range(1, c_max + 1)
-        if _family_is_integral(b, c)
-    ]
 
-
-def first_oversized_row(b_max: int, c_max: int, digits: int) -> tuple[int, str] | None:
-    """The first row of search_integer_solutions(b_max, c_max) with a value of
-    more than digits decimal digits, as (row index, "x" or "y"), else None.
-
-    Builds no tuple.  As x = y/(b+c) <= v, w < y = b^c c^b, the first of the
-    row's x, y, v, w past the limit is x or y.  The pairs are scanned by the
-    same gcd test, and y is built only past its bit-length bound:
+    With digits >= 1, the same scan refuses the first row with a value of
+    more than digits decimal digits, raising OversizedValue naming it as
+    "solutions[i].x" or ".y", before any tuple is built.  As
+    x = y/(b+c) <= v, w < y = b^c c^b, the row's first value past the limit
+    is x or y, and y is built only past its bit-length bound:
     c bitlen(b) + b bitlen(c) <= 3 digits gives y < 2^(3 digits) < 10^digits.
     """
-    if c_max * b_max.bit_length() + b_max * c_max.bit_length() <= 3 * digits:
-        return None
-    ten = 10**digits
-    row = 0
+    check_search_box(b_max, c_max)
+    # a box within the bound has no row to check
+    sized = digits and c_max * b_max.bit_length() + b_max * c_max.bit_length() > 3 * digits
+    pairs = []
     for b in range(1, b_max + 1):
         for c in range(1, c_max + 1):
             if _family_is_integral(b, c):
-                if c * b.bit_length() + b * c.bit_length() > 3 * digits:
-                    y = b**c * c**b
+                if sized and c * b.bit_length() + b * c.bit_length() > 3 * digits:
+                    y, ten = b**c * c**b, 10**digits
                     if y >= ten:
-                        return row, "x" if y // (b + c) >= ten else "y"
-                row += 1
-    return None
+                        name = "x" if y // (b + c) >= ten else "y"
+                        raise OversizedValue(
+                            f"solutions[{len(pairs)}].{name} has more than {digits} decimal digits"
+                        )
+                pairs.append((b, c))
+    fac = functools.cache(factorize)
+    return [_family(b + c, b, c, fac(b + c), fac(b), fac(c), (Fraction(b), Fraction(c))) for b, c in pairs]

@@ -21,19 +21,21 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 
-from mpmath import mp
+from mpmath import iv, mp
 
-from .errors import PointBudgetExceeded
-from .exact import check_precision
+from .errors import OversizedValue, PointBudgetExceeded
+from .exact import check_precision, iv_precision, log2_bounds, log_interval
 from .solutions import (
     ScalarIdentity,
+    SolutionTuple,
     euler_solution,
+    first_oversized_member,
     general_solution,
     manual_tuple,
     pair_identity,
     quad_identity,
 )
-from .vpv import Convention, EvalReport, Form, check_box, check_unit, eval_product, tail_bound
+from .vpv import Convention, EvalReport, Form, check_box, check_unit, eval_product, tail_bound, unit_violation
 
 TOLERANCE = Fraction(1, 10**8)
 POINT_BUDGET = 10**7
@@ -111,13 +113,56 @@ def manual_pair(X: Fraction, Y: Fraction) -> TransformInstance:
     return _instance((X, Y))
 
 
-def quad_from_family(a: Fraction, b: Fraction, c: Fraction) -> TransformInstance:
+def quad_from_family(a: Fraction, b: Fraction, c: Fraction, digits: int = 0) -> TransformInstance:
     """Quad instance from the (a, b, c) solution family.
 
     Requires the underlying tuple to be rational-valued with every member
-    above 1/2, so that each mapped parameter lands inside (-1, 1).
+    above 1/2, so that each mapped parameter lands inside (-1, 1).  Given
+    digits, the interpreter's int-to-str digit limit (0: none), a tuple with
+    a member of more than 3 digits bits is first decided on its exponent
+    vectors (_refuse_early), so that a member at or below 1/2, or a parameter
+    of more than digits decimal digits, is refused before it is multiplied out.
     """
-    return _from_solution(general_solution(a, b, c).as_fractions())
+    t = general_solution(a, b, c)
+    if digits and t.is_rational:
+        _refuse_early(t, digits)
+    return _from_solution(t.as_fractions())
+
+
+def _refuse_early(t: SolutionTuple, digits: int) -> None:
+    """Raise what _instance, and then printing the parameters, would raise on t, where
+    the members' exponent vectors make it sure; otherwise return.
+
+    Each member u = n/d in lowest terms has 2^lo <= max(n, d) <= 2^hi
+    (log2_bounds); a tuple whose members all have hi <= 3 digits returns at
+    once.  The first u <= 1/2, in order x, y, v, w, maps outside (-1, 1) and
+    raises check_unit's DomainViolation; it is compared with 1/2 exactly when
+    hi <= 3 digits, by log_interval otherwise.  With every u > 1/2, the
+    parameter (n - d)/n has the larger term n > d/2, so n >= 2^(lo - 1), and
+    n <= 2^hi: first_oversized_member's answer for the members holds for the
+    parameters, as 2^(4 digits - 1) >= 10^digits for digits >= 2 (the
+    interpreter's limit is 0 or at least 640).  For u <= 1/2 the larger term
+    is d - n >= d/2 >= 2^(lo - 1) in the same way.
+    """
+    bounds = [log2_bounds(u) for u in t.values()]
+    if all(hi <= 3 * digits for _, hi in bounds):
+        return
+    for name, u, (lo, hi) in zip("XYVW", t.values(), bounds):
+        if hi > 3 * digits:
+            with iv_precision(128):
+                log_2u = log_interval(u) + iv.log(2)
+            if log_2u.a > 0:
+                continue
+            if log_2u.b >= 0:  # too close to 1/2 to tell
+                return
+            if lo >= 4 * digits:
+                raise unit_violation(name, digits)
+        q = u.to_fraction()
+        if 2 * q <= 1:
+            check_unit(name, (q - 1) / q)  # raises, as (q - 1)/q <= -1
+    oversized = first_oversized_member(t, digits)
+    if oversized:
+        raise OversizedValue(f"parameters.{oversized.upper()} has more than {digits} decimal digits")
 
 
 def manual_quad(X: Fraction, Y: Fraction, V: Fraction, W: Fraction) -> TransformInstance:

@@ -36,6 +36,7 @@ single visible axis point (0, 1), whose factor (1-Y) lifts the exponent to
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -82,11 +83,23 @@ class EvalReport:
 
 
 def check_unit(name: str, q: Fraction) -> Fraction:
-    """The product parameter q as a Fraction; refuses |q| >= 1, naming it."""
+    """The product parameter q as a Fraction; refuses |q| >= 1, naming it.
+
+    A q past the interpreter's int-to-str digit limit is named, not printed.
+    """
     q = Fraction(q)
     if abs(q) >= 1:
-        raise DomainViolation(f"|{name}| must be < 1, got {name} = {q}")
+        try:
+            shown = str(q)
+        except ValueError:
+            raise unit_violation(name, sys.get_int_max_str_digits()) from None
+        raise DomainViolation(f"|{name}| must be < 1, got {name} = {shown}")
     return q
+
+
+def unit_violation(name: str, digits: int) -> DomainViolation:
+    """check_unit's refusal of a parameter name with more than digits decimal digits."""
+    return DomainViolation(f"|{name}| must be < 1, got {name} = a value that has more than {digits} decimal digits")
 
 
 def check_box(Nj: int, Nk: int) -> None:

@@ -251,7 +251,14 @@ class TestDigits:
 class TestOversizedValues:
     @pytest.mark.parametrize(
         "argv, field",
-        [(("family", "1000", "1000"), "results.x"), (("digits", "1000", "1000"), "results.digits")],
+        [
+            (("family", "1000", "1000"), "results.x"),
+            (("digits", "1000", "1000"), "results.digits"),
+            # a parameter or an argument past the limit, named without the interpreter's message
+            (("transform", "--abc", "10001/10000", "1", "1"), "|X| must be < 1, got X = a value that"),
+            (("verify", "9" * 5001, "1", "1", "1"), "the numerator of a rational argument"),
+            (("family", "2", "2", "--a", "1/" + "9" * 5001), "the denominator of a rational argument"),
+        ],
     )
     def test_record_names_the_field(self, capsys, argv, field):
         code, doc = run_json(capsys, *argv)
@@ -266,11 +273,15 @@ class TestOversizedValues:
             (("digits", "60000", "60000"), "results.digits"),
             (("family", "2000000", "2000000"), "results.x"),
             (("family", "200000", "200000", "--a", "400000"), "results.x"),
+            (("transform", "--abc", "3000001/1000000", "2", "2"), "results.parameters.X"),
+            (("transform", "--abc", "300001/100000", "2", "2"), "results.parameters.X"),
+            (("transform", "--abc", "1000001/1000000", "1", "1"), "|X| must be < 1, got X = a value that"),
         ],
     )
     def test_oversized_family_is_refused_at_once(self, argv, field):
         # without the bounds, digits 20000 20000 takes 40 s in digit_count's
-        # logs and family 2000000 2000000 80 s multiplying its members out
+        # logs, family 2000000 2000000 80 s multiplying its members out and
+        # each transform over a minute doing the same
         script = (
             "import sys, time\n"
             "sys.set_int_max_str_digits(4300)\n"
@@ -352,6 +363,48 @@ class TestOversizedValues:
             sys.set_int_max_str_digits(limit)
         assert outcomes[0, True] and outcomes[1, True] and outcomes[1, False], outcomes
 
+    def test_transform_same_record_as_the_full_computation(self, capsys, monkeypatch):
+        # at the smallest digit limit, with members from 2^1000 to 2^3900 in
+        # size and on both sides of 1/2: b = 1 and a = c +- 1/k give
+        # x ~ exp(-1/c) and w = c x, and a = b + c gives integers
+        from xyyx import cli, transforms
+        from xyyx.solutions import SolutionTuple
+
+        as_fractions = SolutionTuple.as_fractions
+        built = []
+        monkeypatch.setattr(SolutionTuple, "as_fractions", lambda t: built.append(t) or as_fractions(t))
+        abcs = [
+            (c + sign * F(1, k), F(1), c)
+            for c in (F(1), F(6, 5), F(3, 2), F(2))
+            for sign in (1, -1)
+            for k in (150, 200, 230, 250, 256, 280, 400)
+        ]
+        abcs += [(F(b + c), F(b), F(c)) for b, c in ((110, 110), (130, 130), (150, 160), (190, 210), (200, 200))]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            outcomes = Counter()
+            for a, b, c in abcs:
+                argv = ("transform", "--abc", str(a), str(b), str(c), "--truncation", "20")
+                built.clear()
+                code, out = run(capsys, *argv)
+                early = not built
+                with monkeypatch.context() as full:
+                    full.setattr(cli, "quad_from_family", lambda a, b, c, digits: transforms.quad_from_family(a, b, c))
+                    assert run(capsys, *argv) == (code, out), (a, b, c)
+                message = out.splitlines()[1] if code else "answered"
+                outcomes[re.sub(r"\d+", "N", message), early] += 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+        # answered; refused on the domain with X shown, and with X too long to
+        # show; refused as too long to print at once and after the full computation
+        domain = "message: |X| must be < N, got X = "
+        oversized = "message: results.parameters.X has more than N decimal digits"
+        assert outcomes["answered", False], outcomes
+        assert outcomes[domain + "-N/N", True], outcomes
+        assert outcomes[domain + "a value that has more than N decimal digits", True], outcomes
+        assert outcomes[oversized, True] and outcomes[oversized, False], outcomes
+
     def test_render_tries_ints(self):
         limit = sys.get_int_max_str_digits()
         assert _render({"results": {"n": 10 ** (limit - 1)}}, None) == {"results": {"n": 10 ** (limit - 1)}}
@@ -432,6 +485,8 @@ class TestTransform:
             (("3", "2", "1"), ("--precision", "10"), "precision_bits must be >= 64"),
             (("3", "2", "1"), ("--truncation", "-1"), "box bounds must be >= 1"),
             (("8", "6", "2"), ("--truncation", "0"), "box bounds must be >= 1"),
+            # X past the digit limit: the record the full computation gives
+            (("30001/10000", "2", "2"), ("--truncation", "0"), "box bounds must be >= 1"),
         ],
     )
     def test_quad_inputs_checked_before_the_fallback(self, capsys, abc, flags, message):
@@ -454,6 +509,8 @@ class TestPointBudget:
             ("vpv-eval", "1/2", "3/4"),
             ("transform", "--n", "1"),
             ("transform", "--abc", "3", "2", "1"),
+            # members near exp(-1/2) of 24000 bits: the box is refused before X is printed
+            ("transform", "--abc", "4001/2000", "1", "2"),
         ],
     )
     def test_over_budget_box_is_refused_at_once(self, capsys, argv):
@@ -575,6 +632,20 @@ class TestSearch:
             assert code == 1 and doc["message"] == rendered
 
 
+def named_lines(path: str, value):
+    """The "name = value" lines of a --json record's value at path, for the plain mode."""
+    if isinstance(value, dict) and set(value) == {"dec", "hex"}:
+        yield f"{path} = {value['dec']}  (hex {value['hex']})"
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            yield from named_lines(f"{path}.{k}" if path else k, v)
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        for i, v in enumerate(value):
+            yield from named_lines(f"{path}[{i}]", v)
+    else:
+        yield f"{path} = {value}"
+
+
 class TestOutputModes:
     def test_schema_keys(self, capsys):
         _, doc = run_json(capsys, "euler", "1")
@@ -587,6 +658,23 @@ class TestOutputModes:
         assert doc["results"]["product_value"]["dec"] in text
         assert doc["results"]["product_value"]["hex"] in text
         assert doc["results"]["tail_bound"]["dec"] in text
+        # rows, nested fields, a warning's message and an error record: each
+        # value of the --json record is on its own "name = value" line
+        cases = {
+            ("search", "6", "4"): ["solutions[1].x = 8192", "solutions[3].verified = True"],
+            ("euler", "3"): ["solutions[2].y = 256/81"],
+            ("transform", "--abc", "8", "6", "2"): ["numeric.warning = infeasible-truncation"],
+            ("euler", "0"): ["message: n_max must be >= 1"],
+        }
+        for argv, samples in cases.items():
+            json_code, doc = run_json(capsys, *argv)
+            code, text = run(capsys, *argv)
+            lines = text.splitlines()
+            assert code == json_code and lines[0] == f"command: {doc['command']}  [{doc['status']}]"
+            assert (f"message: {doc['message']}" in lines) == bool(doc["message"]), argv
+            expected = [f"  input {k} = {v}" for k, v in doc["inputs"].items()] + list(named_lines("", doc["results"]))
+            assert set(expected) <= set(lines), argv
+            assert set(samples) <= set(lines), argv
 
     def test_env_precision_override(self, capsys, monkeypatch):
         monkeypatch.setenv("VPV_PRECISION_BITS", "128")

@@ -1,4 +1,7 @@
+import contextlib
+import json
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction as F
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from xyyx import solutions, transforms
+from xyyx import cli, solutions, transforms
 from xyyx.errors import (
     DegenerateParameters,
     NonPositiveParameter,
@@ -22,7 +25,6 @@ from xyyx.solutions import (
     SolutionTuple,
     classify_triviality,
     euler_solution,
-    first_oversized_row,
     general_solution,
     manual_tuple,
     numeric_verify,
@@ -341,6 +343,32 @@ class TestSearchScanByGcd:
         assert params == literal_scan(60, 60)
 
 
+@contextlib.contextmanager
+def digit_limit(digits: int):
+    """Run the block at the interpreter's int-to-str digit limit digits."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def first_oversized_row(b_max: int, c_max: int, digits: int) -> tuple[int, str] | None:
+    """The row and field that search_integer_solutions(b_max, c_max, digits) refuses, else None.
+
+    A search it does not refuse must return the rows of the unchecked search.
+    """
+    try:
+        found = search_integer_solutions(b_max, c_max, digits)
+    except OversizedValue as exc:
+        match = re.fullmatch(rf"solutions\[(\d+)\]\.([xy]) has more than {digits} decimal digits", str(exc))
+        assert match, str(exc)
+        return int(match[1]), match[2]
+    assert found == search_integer_solutions(b_max, c_max)
+    return None
+
+
 class TestFirstOversizedRow:
     @pytest.mark.parametrize("b_max,c_max", [(30, 30), (40, 12), (12, 40)])
     def test_matches_the_built_rows(self, b_max, c_max):
@@ -358,8 +386,32 @@ class TestFirstOversizedRow:
 
     def test_boxes_within_the_limit(self):
         assert first_oversized_row(60, 60, 4300) is None
-        assert first_oversized_row(0, 5, 1) is None
         assert first_oversized_row(1000, 300, 4300) is None
+
+    def test_bounds_below_one_are_refused_before_the_scan(self):
+        with pytest.raises(NonPositiveParameter):
+            search_integer_solutions(0, 5, 1)
+
+    def test_a_box_is_scanned_once(self, monkeypatch):
+        # the refusal and the rows come from one gcd test per (b, c) pair
+        calls = Counter()
+        is_integral = solutions._family_is_integral
+        monkeypatch.setattr(
+            solutions, "_family_is_integral", lambda b, c: calls.update([(b, c)]) or is_integral(b, c)
+        )
+        with digit_limit(4300):
+            assert cli.main(["search", "20000", "1"]) == 0
+        assert sum(calls.values()) == 20000 and set(calls.values()) == {1}
+
+    def test_a_refused_box_builds_no_tuple(self, monkeypatch, capsys):
+        built = []
+        family = solutions._family
+        monkeypatch.setattr(solutions, "_family", lambda *args: built.append(args) or family(*args))
+        with digit_limit(4300):
+            code = cli.main(["search", "1000", "1000", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc["message"] == "results.solutions[5005].x has more than 4300 decimal digits"
+        assert built == []
 
 
 class TestCanonicalExponents:
