@@ -31,6 +31,7 @@ import re
 import sys
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from mpmath import mp
 
@@ -94,7 +95,30 @@ def mpf_hex(x) -> str:
 
 def render_real(x, precision_bits: int) -> dict:
     digits = max(8, int(precision_bits * 0.30103))
-    return {"dec": mp.nstr(x, digits, min_fixed=1, max_fixed=1), "hex": mpf_hex(x)}
+    return {"dec": _scientific(x, digits), "hex": mpf_hex(x)}
+
+
+def _scientific(x, digits: int) -> str:
+    """mp.nstr(x, digits) in exponent form, printing no int of more than digits + 5 digits.
+
+    mpmath prints an mpf within 2^±3500 whose integer part is wider than
+    about 3.33 (digits + 3) + 10 bits from that whole integer's decimal
+    string, up to about 1060 digits, which the interpreter's int-to-str
+    limit can refuse; above 2^3500 it scales by a power of ten itself.
+    Here such an integer part is cut to its leading digits + 3 to
+    digits + 5 digits by exact division by 10^k, which leaves the digits
+    shown and their rounding unchanged, and k goes back into the exponent.
+    """
+    sign, man, exp, bc = x._mpf_
+    if not 4 * digits + 22 < exp + bc <= 3500:
+        return mp.nstr(x, digits, min_fixed=1, max_fixed=1)
+    whole = man << exp if exp >= 0 else man >> -exp
+    k = int((whole.bit_length() - 1) * 0.30102999) - digits - 2
+    lead = whole // 10**k
+    with mp.workprec(lead.bit_length()):
+        text = mp.nstr(mp.mpf(-lead if sign else lead), digits, min_fixed=1, max_fixed=1)
+    mantissa, exponent = text.split("e+")
+    return f"{mantissa}e+{int(exponent) + k}"
 
 
 def _oversized(path: str) -> OversizedValue:
@@ -191,10 +215,44 @@ def _flat(prefix: str, value, lines: list[str]) -> None:
         lines.append(f"{prefix} = {value}")
 
 
+# The text json.dumps gives a leaf of exactly these types; other leaves go through json.dumps.
+_JSON_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2), with newline the line break and indent of
+    value's own line; dict keys must be strings.
+
+    json.dumps takes its pure-Python encoder whenever indent is set; this
+    writer gives the same text with a few calls per container.
+    """
+    leaf = _JSON_LEAVES.get
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k) + ": " + (f(v) if (f := leaf(type(v))) else _json_text(v, inner))
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [f(v) if (f := leaf(type(v))) else _json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
+
+
 def emit(result: dict, as_json: bool) -> int:
     """Print the record; exit code 1 for an error record or a closed stdout."""
     if as_json:
-        text = json.dumps(result, indent=2)
+        text = _json_text(result)
     else:
         lines: list[str] = [f"command: {result['command']}  [{result['status']}]"]
         if result["message"]:

@@ -344,7 +344,7 @@ class PrimePowerProduct:
                 num *= p**e
             else:
                 den *= p**-e
-        return Fraction(num, den)
+        return Fraction(num) if den == 1 else Fraction(num, den)
 
     def __str__(self) -> str:
         if not self.factors:

@@ -134,8 +134,26 @@ def euler_solution(n: int) -> tuple[Fraction, Fraction]:
 
 
 def verify_power_equation(x: Fraction, y: Fraction) -> bool:
-    """Exact check of x^y = y^x for positive rationals, via exponent vectors."""
-    return pair_identity(x, y).holds
+    """Exact check of x^y = y^x for positive rationals: y vec(x) = x vec(y)."""
+    x, y = Fraction(x), Fraction(y)
+    f = PrimePowerProduct.from_fraction
+    return _cancels([(y, f(x).factors), (-x, f(y).factors)])
+
+
+def _cancels(terms) -> bool:
+    """Whether sum(q vec(u)) is zero over the (q, factors of u) in terms, q rational.
+
+    The q are scaled to integers by a common denominator first, so the one
+    difference map over the primes is built in int arithmetic, with no gcd
+    per prime; the factors' exponents must be ints.
+    """
+    d = math.lcm(*(q.denominator for q, _ in terms))
+    diff: dict[int, int] = {}
+    for q, factors in terms:
+        k = q.numerator * (d // q.denominator)
+        for p, e in factors:
+            diff[p] = diff.get(p, 0) + k * e
+    return not any(diff.values())
 
 
 def general_solution(a: Fraction, b: Fraction, c: Fraction) -> SolutionTuple:
@@ -187,8 +205,10 @@ def _family(a, b, c, fa, fb, fc, params: tuple[Fraction, ...]) -> SolutionTuple:
 
 
 def verify_product_equation(t: SolutionTuple) -> bool:
-    """Exact check of x^y y^x = v^w w^v for a rational-valued tuple."""
-    return quad_identity(t).holds
+    """Exact check of x^y y^x = v^w w^v for a rational-valued tuple:
+    y vec(x) + x vec(y) = w vec(v) + v vec(w)."""
+    x, y, v, w = t.as_fractions()
+    return _cancels([(y, t.x.factors), (x, t.y.factors), (-w, t.v.factors), (-v, t.w.factors)])
 
 
 def verify_fractions(x: Fraction, y: Fraction, v: Fraction, w: Fraction) -> bool:

@@ -34,8 +34,20 @@ from .solutions import (
     manual_tuple,
     pair_identity,
     quad_identity,
+    verify_fractions,
+    verify_power_equation,
 )
-from .vpv import Convention, EvalReport, Form, check_box, check_unit, eval_product, tail_bound, unit_violation
+from .vpv import (
+    Convention,
+    EvalReport,
+    Form,
+    _tail_interval,
+    _tail_terms,
+    check_box,
+    check_unit,
+    eval_product,
+    unit_violation,
+)
 
 TOLERANCE = Fraction(1, 10**8)
 POINT_BUDGET = 10**7
@@ -170,8 +182,15 @@ def manual_quad(X: Fraction, Y: Fraction, V: Fraction, W: Fraction) -> Transform
 
 
 def closed_equality_check(t: TransformInstance) -> bool:
-    """Exact closed-form equality behind the instance, recomputed from scratch."""
-    return t.scalar_identity.holds
+    """Exact closed-form equality behind the instance, recomputed from scratch.
+
+    The verdict of t.scalar_identity, decided on exponent vectors without
+    building either side.
+    """
+    values = [1 / (1 - q) for q in t.parameters()]
+    if t.kind == "pair":
+        return verify_power_equation(*values)
+    return verify_fractions(*values)
 
 
 def estimated_points(evaluations: int, N: int) -> int:
@@ -219,9 +238,12 @@ def _verify(
     astronomically expensive one), so the report flags infeasible-truncation
     and carries the exact scalar verdict instead, with the smallest doubling
     of N whose evaluations fit POINT_BUDGET and whose tails reach TOLERANCE,
-    if any.  Pairs are not gated yet: the benchmark's lattice warm-up runs
-    pair transforms at N = 12, where their tails sum to 2e-2 to 8e-2, and
-    expects a numeric verdict.  A comparison whose evaluations exceed
+    if any.  The gate and the doublings share one set of interval terms per
+    parameter (vpv._tail_terms), taken once per request; each box adds only
+    the powers |q|^(N+1) to them.  The gate's sum at N is the fallback's
+    combined_bound.  Pairs are not gated yet: the benchmark's lattice warm-up
+    runs pair transforms at N = 12, where their tails sum to 2e-2 to 8e-2,
+    and expects a numeric verdict.  A comparison whose evaluations exceed
     POINT_BUDGET raises PointBudgetExceeded.
     """
     if t.kind != kind:
@@ -230,9 +252,12 @@ def _verify(
     check_precision(precision_bits)
     sides = t.sides()
     if kind == "quad":
+        with iv_precision(128):
+            terms = {q: _tail_terms(q) for q in set(t.parameters())}
+        factors = [(terms[A], terms[B]) for side in sides for A, B in side]
         with mp.workprec(160):
             tol = mp.mpf(TOLERANCE.numerator) / TOLERANCE.denominator
-            tail = _sides_tail(sides, N, convention)
+            tail = _tail_sum(factors, N, convention)
         if tail > tol:
             return TransformReport(
                 left=None,
@@ -242,24 +267,39 @@ def _verify(
                 verdict=None,
                 warning="infeasible-truncation",
                 exact_verdict=closed_equality_check(t),
-                feasible_truncation=_feasible_truncation(sides, N, convention, tol),
+                feasible_truncation=_feasible_truncation(factors, N, convention, tol),
             )
     report = _compare_sides(sides, N, precision_bits, convention)
     return replace(report, exact_verdict=closed_equality_check(t))
 
 
-def _sides_tail(sides, N: int, convention: Convention):
-    """Sum of the factors' tail bounds over an N x N box, at 160 bits."""
-    with mp.workprec(160):
-        return sum(tail_bound(A, B, N, N, convention) for side in sides for A, B in side)
+def _tail_sum(factors, N: int, convention: Convention, stop=None):
+    """Sum, at 160 bits and in order, of the factors' tail bounds over an N x N box.
+
+    factors holds the _tail_terms of each factor's (A, B); each term is
+    tail_bound(A, B, N, N, convention), bit for bit.  Given stop, the sum
+    ends once it exceeds stop: the terms are >= 0 and rounded addition is
+    monotone, so the whole sum would exceed it too.
+    """
+    total = 0
+    with iv_precision(128), mp.workprec(160):
+        for x_terms, y_terms in factors:
+            total += mp.mpf(_tail_interval(x_terms, y_terms, N, N, convention).b)
+            if stop is not None and total > stop:
+                break
+    return total
 
 
-def _feasible_truncation(sides, N: int, convention: Convention, tol) -> int | None:
-    """The smallest of 2N, 4N, ... within POINT_BUDGET whose tails reach tol."""
-    evaluations = sum(map(len, sides))
+def _feasible_truncation(factors, N: int, convention: Convention, tol) -> int | None:
+    """The smallest of 2N, 4N, ... within POINT_BUDGET whose tails reach tol.
+
+    Each candidate's sum (_tail_sum) stops as soon as it passes tol, so an
+    infeasible box usually costs one factor's bound; the N chosen is that of
+    the whole sums.
+    """
     n = 2 * N
-    while estimated_points(evaluations, n) <= POINT_BUDGET:
-        if _sides_tail(sides, n, convention) <= tol:
+    while estimated_points(len(factors), n) <= POINT_BUDGET:
+        if _tail_sum(factors, n, convention, tol) <= tol:
             return n
         n *= 2
     return None

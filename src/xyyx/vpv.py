@@ -206,17 +206,33 @@ def tail_bound(
     """
     X, Y = check_unit("X", X), check_unit("Y", Y)
     check_box(Nj, Nk)
-    ax, ay = abs(X), abs(Y)
     with iv_precision(128):
-        # 1 - |X| and 1 - |Y| are exact Fractions first, so they never round to 0
-        xm, ym, rx, ry = (iv.mpf(q.numerator) / iv.mpf(q.denominator) for q in (ax, ay, 1 - ax, 1 - ay))
-        col = ym ** (Nk + 1) / ((Nk + 1) * ry)
-        bound = xm ** (Nj + 1) / rx * -iv.log(ry)
-        bound += xm / rx * col
-        if convention is Convention.AXIS:
-            bound += col
-        with mp.workprec(160):
-            return mp.mpf(bound.b)
+        bound = _tail_interval(_tail_terms(X), _tail_terms(Y), Nj, Nk, convention)
+    with mp.workprec(160):
+        return mp.mpf(bound.b)
+
+
+def _tail_terms(q: Fraction) -> tuple:
+    """|q|, 1 - |q|, -log(1 - |q|) and |q|/(1 - |q|) as intervals at the current precision.
+
+    These are all that the tail bound takes of a parameter, whichever of X and
+    Y it is; 1 - |q| is an exact Fraction first, so it never rounds to 0.
+    """
+    a = abs(q)
+    m, r = (iv.mpf(f.numerator) / iv.mpf(f.denominator) for f in (a, 1 - a))
+    return m, r, -iv.log(r), m / r
+
+
+def _tail_interval(x_terms: tuple, y_terms: tuple, Nj: int, Nk: int, convention: Convention):
+    """The interval whose upper end tail_bound returns, from the _tail_terms of X and Y."""
+    xm, rx, _, x_ratio = x_terms
+    ym, ry, y_log, _ = y_terms
+    col = ym ** (Nk + 1) / ((Nk + 1) * ry)
+    bound = xm ** (Nj + 1) / rx * y_log
+    bound += x_ratio * col
+    if convention is Convention.AXIS:
+        bound += col
+    return bound
 
 
 def _power_steps(X: Fraction, Nj: int, P: int) -> list[tuple[int, int, int]]:

@@ -11,8 +11,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xyyx.cli import _render, build_parser, main, mpf_hex, parse_rational
+from xyyx.cli import _json_text, _render, build_parser, main, mpf_hex, parse_rational, render_real
 from xyyx.errors import OversizedValue
 from xyyx.exact import digit_count
 from xyyx.solutions import general_solution, rational_family, search_integer_solutions
@@ -89,6 +91,23 @@ class TestParsing:
         assert mpf_hex(mp.mpf(16)) == "0x1p+4"
         assert mpf_hex(mp.mpf(0)) == "0x0p+0"
         assert mpf_hex(mp.mpf(-0.75)) == "-0x3p-2"
+
+    @pytest.mark.parametrize("bits", [64, 256, 1024, 2048])
+    def test_decimal_rendering_is_mpmath_nstr(self, bits):
+        # values below 2^3500 with a wide integer part are cut by 10^k before
+        # mp.nstr; the text must not change, at the default digit limit
+        from mpmath import mp
+
+        rng = random.Random(bits)
+        digits = max(8, int(bits * 0.30103))
+        for e in range(-4000, 4001, 25):
+            for man in (rng.getrandbits(bits + 32) | 1, 10 ** (digits + rng.randint(0, 4)) - rng.randint(0, 3)):
+                with mp.workprec(bits + 32):
+                    x = mp.ldexp(mp.mpf(man), e - man.bit_length()) * rng.choice((1, -1))
+                want = mp.nstr(x, digits, min_fixed=1, max_fixed=1)
+                assert render_real(x, bits)["dec"] == want, (bits, e, man)
+        for x in (mp.mpf(0), mp.inf, -mp.inf, mp.nan):
+            assert render_real(x, bits)["dec"] == mp.nstr(x, digits, min_fixed=1, max_fixed=1)
 
 
 class TestEuler:
@@ -405,6 +424,21 @@ class TestOversizedValues:
         assert outcomes[domain + "a value that has more than N decimal digits", True], outcomes
         assert outcomes[oversized, True] and outcomes[oversized, False], outcomes
 
+    def test_fallback_bound_near_2_pow_3000_prints_at_the_smallest_limit(self, capsys):
+        # combined_bound is about 4e896: mpmath prints an mpf below 2^3500 from
+        # its whole integer part, which the limit of 640 digits refused
+        argv = ("transform", "--abc", "220", "110", "110", "--truncation", "20")
+        code, doc = run_json(capsys, *argv)
+        assert code == 0 and doc["status"] == "warning"
+        bound = doc["results"]["numeric"]["combined_bound"]
+        assert bound["dec"].endswith("e+896")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert run_json(capsys, *argv) == (code, doc)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_render_tries_ints(self):
         limit = sys.get_int_max_str_digits()
         assert _render({"results": {"n": 10 ** (limit - 1)}}, None) == {"results": {"n": 10 ** (limit - 1)}}
@@ -644,6 +678,57 @@ def named_lines(path: str, value):
             yield from named_lines(f"{path}[{i}]", v)
     else:
         yield f"{path} = {value}"
+
+
+def readme_examples() -> list[list[str]]:
+    """The argv of every `xyyx ...` line in the README's "Command line" block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines() if line.startswith("xyyx ")]
+
+
+JSON_RECORDS = readme_examples() + [
+    ["search", "60", "60"],
+    *(["transform", "--abc", *map(str, abc)] for abc in ((5, 3, 2), (6, 4, 2), (6, 3, 3), (7, 4, 3), (7, 5, 2), (9, 6, 3))),
+    ["transform", "--abc", "4", "2", "2", "--truncation", "300"],
+    ["vpv-eval", "--truncation", "30", "--convention", "strict", "--", "-1/3", "2/7"],
+    ["search", "1000", "1000"],
+    ["verify", "1/0", "1", "1", "1"],
+    ["euler", "0"],
+    ["transform", "--n", "1", "--truncation", "0"],
+]
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", ""])
+)
+JSON_RECORD = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text() | st.sampled_from(['"', "\n", "\u00e9"]), children, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("argv", JSON_RECORDS, ids=" ".join)
+    def test_records_print_as_json_dumps_would(self, capsys, argv):
+        code, out = run(capsys, argv[0], "--json", *argv[1:])
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert code == (json.loads(out)["status"] == "error")
+
+    def test_every_subcommand_is_covered(self):
+        assert {argv[0] for argv in JSON_RECORDS} == set(parser_flags())
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_RECORD)
+    def test_nested_values(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
 
 
 class TestOutputModes:

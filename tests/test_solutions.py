@@ -28,6 +28,7 @@ from xyyx.solutions import (
     general_solution,
     manual_tuple,
     numeric_verify,
+    pair_identity,
     quad_identity,
     rational_family,
     search_integer_solutions,
@@ -623,3 +624,56 @@ class TestSearchBox:
     def test_bounds_below_one_are_refused_first(self):
         with pytest.raises(NonPositiveParameter):
             search_integer_solutions(0, 10**9)
+
+
+class TestDifferenceVerdicts:
+    """The verdicts decided on one integer difference map agree with comparing both sides."""
+
+    terms = st.fractions(min_value=F(1, 60), max_value=60, max_denominator=60)
+
+    @settings(max_examples=300, deadline=None)
+    @given(terms, terms)
+    def test_pairs_match_the_sides(self, x, y):
+        assert verify_power_equation(x, y) == pair_identity(x, y).holds
+
+    @settings(max_examples=300, deadline=None)
+    @given(terms, terms, terms, terms)
+    def test_tuples_match_the_sides(self, x, y, v, w):
+        t = manual_tuple(x, y, v, w)
+        assert verify_product_equation(t) == verify_fractions(x, y, v, w) == quad_identity(t).holds
+
+    @settings(max_examples=100, deadline=None)
+    @given(terms, terms)
+    def test_swapped_and_repeated_members_are_true(self, x, y):
+        assert verify_power_equation(x, x) and verify_fractions(x, y, y, x) and verify_fractions(x, y, x, y)
+
+    def test_euler_rows_are_true(self):
+        for n in range(1, 201):
+            x, y = euler_solution(n)
+            assert verify_power_equation(x, y) and pair_identity(x, y).holds, n
+            assert not verify_power_equation(x, y * (n + 1) / n), n  # x^(y') = y'^x needs n (1 + 1/n)^2 = n + 2
+
+    def test_family_tuples_are_true_and_bumped_ones_mostly_false(self):
+        tuples = [general_solution(*abc) for abc in FAMILY_A_GRID]
+        tuples = [t for t in tuples if t.is_rational] + [rational_family(b, c) for b in range(1, 9) for c in range(1, 9)]
+        assert len(tuples) > 90
+        still_true = set()
+        for t in tuples:
+            assert verify_product_equation(t) and quad_identity(t).holds, t
+            x, y, v, w = t.as_fractions()
+            bumped = manual_tuple(x, y, v, w + 1)
+            assert verify_product_equation(bumped) == quad_identity(bumped).holds, t
+            if verify_product_equation(bumped):
+                still_true.add(bumped.as_fractions())
+        # a = 2, b = 3, c = 2 bumps to the paper's (1/6, 1/3, 1/2, 4/3)
+        assert still_true == {(F(1, 6), F(1, 3), F(1, 2), F(4, 3))}
+
+    def test_euler_command_takes_no_product_powers(self, monkeypatch, capsys):
+        calls = []
+        power = PrimePowerProduct.__pow__
+        monkeypatch.setattr(PrimePowerProduct, "__pow__", lambda u, r: calls.append(r) or power(u, r))
+        assert ONE**2 == ONE and calls == [2]  # the counter is in place
+        calls.clear()
+        assert cli.main(["euler", "60", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["solutions"][59]["verified"] is True
+        assert not calls

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,7 @@ from mpmath import mp
 
 from xyyx import transforms
 from xyyx.errors import DomainViolation, NonRationalTuple, PointBudgetExceeded
+from xyyx.exact import iv_precision
 from xyyx.solutions import euler_solution, general_solution, pair_identity, quad_identity
 from xyyx.transforms import (
     TransformInstance,
@@ -278,3 +280,57 @@ class TestTailGate:
             assert rep.warning == "infeasible-truncation" and rep.verdict is None
         if name == "false":
             assert rep.verdict is not True
+
+
+BENCH_QUADS = [(5, 3, 2), (6, 4, 2), (6, 3, 3), (7, 4, 3), (7, 5, 2), (8, 6, 2), (9, 6, 3), (4, 2, 2), (3, 2, 1)]
+
+
+class TestSharedTailTerms:
+    """The gate and the doubling search take the tails from one set of terms per parameter."""
+
+    @staticmethod
+    def factors(inst):
+        with iv_precision(128):
+            terms = [transforms._tail_terms(q) for q in inst.parameters()]
+        return [(terms[i], terms[j]) for i, j in ((0, 1), (1, 0), (2, 3), (3, 2))]
+
+    @staticmethod
+    def whole_sum(inst, n):
+        X, Y, V, W = inst.parameters()
+        with mp.workprec(160):
+            return sum(tail_bound(A, B, n, n) for A, B in ((X, Y), (Y, X), (V, W), (W, V)))
+
+    @pytest.mark.parametrize("abc", BENCH_QUADS)
+    def test_search_equals_the_plain_doubling_loop(self, abc):
+        inst = quad_from_family(*map(F, abc))
+        factors = self.factors(inst)
+        with mp.workprec(160):
+            tol = mp.mpf(1) / 10**8
+        for N in (1, 12, 55, 100, 300, 400, 1000, 2000):
+            whole = self.whole_sum(inst, N)
+            assert transforms._tail_sum(factors, N, Convention.AXIS)._mpf_ == whole._mpf_
+            for stop in (whole / 3, whole * 0.99, whole, whole * 2):
+                # a sum cut at stop passes it exactly when the whole sum does
+                cut = transforms._tail_sum(factors, N, Convention.AXIS, stop)
+                assert (cut > stop) == (whole > stop) and (cut > stop or cut == whole), (abc, N, stop)
+            n, plain = 2 * N, None
+            while estimated_points(4, n) <= transforms.POINT_BUDGET:
+                if self.whole_sum(inst, n) <= tol:
+                    plain = n
+                    break
+                n *= 2
+            assert transforms._feasible_truncation(factors, N, Convention.AXIS, tol) == plain, (abc, N)
+
+    @pytest.mark.parametrize("abc, distinct", [((8, 6, 2), 4), ((9, 6, 3), 4), ((4, 2, 2), 3)])
+    def test_terms_taken_once_per_parameter(self, monkeypatch, capsys, abc, distinct):
+        from xyyx import cli, vpv
+
+        terms, tails = [], []
+        tail_terms, public = transforms._tail_terms, vpv.tail_bound
+        monkeypatch.setattr(transforms, "_tail_terms", lambda q: terms.append(q) or tail_terms(q))
+        monkeypatch.setattr(vpv, "tail_bound", lambda *args: tails.append(args) or public(*args))
+        assert cli.main(["transform", "--abc", *map(str, abc), "--truncation", "100", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "warning"
+        # (4, 2, 2) has V = W, so three distinct parameters
+        assert len(terms) == len(set(terms)) == distinct
+        assert not tails

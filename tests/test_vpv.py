@@ -7,10 +7,11 @@ from itertools import compress
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import iv, mp
 
 from xyyx import vpv
 from xyyx.errors import DomainViolation
+from xyyx.exact import iv_precision
 from xyyx.transforms import pair_from_euler
 from xyyx.vpv import (
     GUARD_BITS,
@@ -551,6 +552,42 @@ class TestTailBound:
             big = eval_product(X, Y, 400, 400, 256, STRICT, DIRECT)
             actual = abs(small.log_value - big.log_value)
             assert actual <= small.tail_bound
+
+
+def reference_tail_bound(X, Y, Nj, Nk, convention):
+    """tail_bound as written before its per-parameter terms were split out."""
+    ax, ay = abs(X), abs(Y)
+    with iv_precision(128):
+        xm, ym, rx, ry = (iv.mpf(q.numerator) / iv.mpf(q.denominator) for q in (ax, ay, 1 - ax, 1 - ay))
+        col = ym ** (Nk + 1) / ((Nk + 1) * ry)
+        bound = xm ** (Nj + 1) / rx * -iv.log(ry)
+        bound += xm / rx * col
+        if convention is Convention.AXIS:
+            bound += col
+        with mp.workprec(160):
+            return mp.mpf(bound.b)
+
+
+NEAR_ONE = 1 - F(1, 2**50)
+TAIL_PARAMETERS = st.one_of(
+    st.sampled_from([F(0), NEAR_ONE, -NEAR_ONE, F(2303, 2304), F(-2303, 2304), F(1, 2), F(-3, 4)]),
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**6).filter(lambda q: abs(q) < 1),
+)
+
+
+class TestTailBoundTerms:
+    @settings(max_examples=300, deadline=None)
+    @given(TAIL_PARAMETERS, TAIL_PARAMETERS, st.integers(1, 3000), st.integers(1, 3000), st.sampled_from(list(Convention)))
+    def test_same_bits_as_the_one_formula(self, X, Y, Nj, Nk, convention):
+        got, want = tail_bound(X, Y, Nj, Nk, convention), reference_tail_bound(X, Y, Nj, Nk, convention)
+        assert got._mpf_ == want._mpf_
+
+    def test_unequal_boxes_near_one(self):
+        for X, Y in ((NEAR_ONE, F(2303, 2304)), (F(0), -NEAR_ONE), (F(-2303, 2304), F(0))):
+            for Nj, Nk in ((1, 2000), (55, 12), (1000, 3)):
+                for convention in Convention:
+                    got = tail_bound(X, Y, Nj, Nk, convention)
+                    assert got._mpf_ == reference_tail_bound(X, Y, Nj, Nk, convention)._mpf_
 
 
 class TestLogDoubleSeries:
