@@ -52,9 +52,7 @@ from .solutions import (
     verify_product_equation,
 )
 from .transforms import (
-    POINT_BUDGET,
     check_point_budget,
-    estimated_points,
     pair_from_euler,
     quad_from_family,
     verify_pair_transform,
@@ -402,14 +400,10 @@ def cmd_transform(args) -> dict:
     else:
         a, b, c = (parse_rational(s) for s in args.abc)
         try:  # a parameter past the digit limit is refused before it is multiplied out
-            inst = quad_from_family(a, b, c, sys.get_int_max_str_digits())
-        except OversizedValue as exc:
-            # the verification runs before printing: it refuses a box below 1 at
-            # once, and a box over the point budget if the tails reach the tolerance
-            check_box(args.truncation, args.truncation)
-            if estimated_points(4, args.truncation) <= POINT_BUDGET:
-                raise OversizedValue(f"results.{exc}") from None
             inst = quad_from_family(a, b, c)
+        except OversizedValue as exc:
+            check_box(args.truncation, args.truncation)  # a box below 1 is reported first
+            raise OversizedValue(f"results.{exc}") from None
         inputs = {"a": a, "b": b, "c": c}
         verify = verify_quad_transform
     report = verify(

@@ -44,8 +44,8 @@ class SolutionTuple:
     """One solution (x, y, v, w) of x^y y^x = v^w w^v.
 
     params holds the generating parameters (a, b, c or b, c) when applicable.
-    as_fractions multiplies the members out once and keeps them in the
-    instance's __dict__, outside the compared and hashed fields.
+    as_fractions keeps the members' values, given to manual_tuple or multiplied
+    out once, in the instance's __dict__, outside the compared and hashed fields.
     """
 
     x: PrimePowerProduct
@@ -85,26 +85,47 @@ class ScalarIdentity:
         return self.left == self.right
 
 
+def _side(terms) -> PrimePowerProduct:
+    """The product of a^b over the (b, factors of a) in terms, as one exponent map sum(b vec(a))."""
+    exps: dict = {}
+    for b, factors in terms:
+        b = _exponent(b)
+        for p, e in factors:
+            exps[p] = exps.get(p, 0) + b * e
+    return PrimePowerProduct._from_map(exps)
+
+
+def _cancels(left, right) -> bool:
+    """Whether sum(b vec(a)) over the (b, factors of a) terms of left equals that over right.
+
+    Each b is scaled to an int by a common denominator, so the one difference
+    map is built in int arithmetic, with no gcd per prime; the factors'
+    exponents must be ints.
+    """
+    d = math.lcm(*(b.denominator for b, _ in left + right))
+    diff: dict[int, int] = {}
+    for sign, terms in ((1, left), (-1, right)):
+        for b, factors in terms:
+            k = sign * b.numerator * (d // b.denominator)
+            for p, e in factors:
+                diff[p] = diff.get(p, 0) + k * e
+    return not any(diff.values())
+
+
+def _terms(sides) -> list[list]:
+    """Sides of (a, b) pairs of positive rationals, a^b each, as (b, factors of a) terms."""
+    return [[(b, PrimePowerProduct.from_fraction(a).factors) for a, b in side] for side in sides]
+
+
 def pair_identity(x: Fraction, y: Fraction) -> ScalarIdentity:
     """x^y against y^x, for positive rationals x and y."""
-    vx = PrimePowerProduct.from_fraction(x)
-    vy = PrimePowerProduct.from_fraction(y)
-    return ScalarIdentity(vx**y, vy**x)
-
-
-def _side(x: PrimePowerProduct, y: PrimePowerProduct, xq: Fraction, yq: Fraction) -> PrimePowerProduct:
-    """x^y y^x as one exponent map, y vec(x) + x vec(y), for the values xq and yq of x and y."""
-    r, s = _exponent(yq), _exponent(xq)
-    exps = {p: r * e for p, e in x.factors}
-    for p, e in y.factors:
-        exps[p] = exps.get(p, 0) + s * e
-    return PrimePowerProduct._from_map(exps)
+    return ScalarIdentity(*map(_side, _terms([[(x, y)], [(y, x)]])))
 
 
 def quad_identity(t: SolutionTuple) -> ScalarIdentity:
     """x^y y^x against v^w w^v, for a rational-valued tuple."""
-    xq, yq, vq, wq = t.as_fractions()
-    return ScalarIdentity(_side(t.x, t.y, xq, yq), _side(t.v, t.w, vq, wq))
+    x, y, v, w = t.as_fractions()
+    return ScalarIdentity(_side([(y, t.x.factors), (x, t.y.factors)]), _side([(w, t.v.factors), (v, t.w.factors)]))
 
 
 @dataclass(frozen=True)
@@ -136,24 +157,7 @@ def euler_solution(n: int) -> tuple[Fraction, Fraction]:
 def verify_power_equation(x: Fraction, y: Fraction) -> bool:
     """Exact check of x^y = y^x for positive rationals: y vec(x) = x vec(y)."""
     x, y = Fraction(x), Fraction(y)
-    f = PrimePowerProduct.from_fraction
-    return _cancels([(y, f(x).factors), (-x, f(y).factors)])
-
-
-def _cancels(terms) -> bool:
-    """Whether sum(q vec(u)) is zero over the (q, factors of u) in terms, q rational.
-
-    The q are scaled to integers by a common denominator first, so the one
-    difference map over the primes is built in int arithmetic, with no gcd
-    per prime; the factors' exponents must be ints.
-    """
-    d = math.lcm(*(q.denominator for q, _ in terms))
-    diff: dict[int, int] = {}
-    for q, factors in terms:
-        k = q.numerator * (d // q.denominator)
-        for p, e in factors:
-            diff[p] = diff.get(p, 0) + k * e
-    return not any(diff.values())
+    return _cancels(*_terms([[(x, y)], [(y, x)]]))
 
 
 def general_solution(a: Fraction, b: Fraction, c: Fraction) -> SolutionTuple:
@@ -208,17 +212,20 @@ def verify_product_equation(t: SolutionTuple) -> bool:
     """Exact check of x^y y^x = v^w w^v for a rational-valued tuple:
     y vec(x) + x vec(y) = w vec(v) + v vec(w)."""
     x, y, v, w = t.as_fractions()
-    return _cancels([(y, t.x.factors), (x, t.y.factors), (-w, t.v.factors), (-v, t.w.factors)])
+    return _cancels([(y, t.x.factors), (x, t.y.factors)], [(w, t.v.factors), (v, t.w.factors)])
 
 
 def verify_fractions(x: Fraction, y: Fraction, v: Fraction, w: Fraction) -> bool:
-    """Convenience wrapper: exact verification of four positive rationals."""
-    return verify_product_equation(manual_tuple(x, y, v, w))
+    """Exact check of x^y y^x = v^w w^v for four positive rationals."""
+    x, y, v, w = map(Fraction, (x, y, v, w))
+    return _cancels(*_terms([[(x, y), (y, x)], [(v, w), (w, v)]]))
 
 
 def manual_tuple(x: Fraction, y: Fraction, v: Fraction, w: Fraction) -> SolutionTuple:
-    f = PrimePowerProduct.from_fraction
-    return SolutionTuple(f(x), f(y), f(v), f(w))
+    """The tuple of four positive rationals; its as_fractions returns them, multiplying nothing out."""
+    t = SolutionTuple(*map(PrimePowerProduct.from_fraction, (x, y, v, w)))
+    t.__dict__["_fractions"] = tuple(map(Fraction, (x, y, v, w)))
+    return t
 
 
 class NumericVerdict(NamedTuple):

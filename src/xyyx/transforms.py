@@ -1,22 +1,23 @@
 """Product-identity transforms built from solution tuples.
 
 Every solution value x becomes a product parameter in (-1, 1) through
-X = (x-1)/x.  An instance holds only these parameters; its scalar identity,
-x^y = y^x or x^y y^x = v^w w^v as prime-power products, is rebuilt from them
-through the inverse x = 1/(1-X), so the exact identity is checkable
-independently of any numerics.
+X = (x-1)/x.  An instance holds only these parameters.
 
 Both identities compare two sides, each a product of direct products F(A, B):
 F(X, Y) against F(Y, X) for a pair, F(X, Y) F(Y, X) against F(V, W) F(W, V)
-for a quad.  One path verifies both, on one N x N box; a quad first checks
-that its summed tail bound at N reaches the fixed TOLERANCE of 1e-8, and
-falls back to the exact identity if not.  A comparison whose evaluations
-would enumerate more than the fixed POINT_BUDGET of 10^7 lattice points is
-refused.
+for a quad.  Both verdicts read these sides.  The exact one maps each F(A, B)
+to the term a^b, with a = 1/(1-A) and b = 1/(1-B), and compares the two
+products of terms on exponent vectors: the scalar identity x^y = y^x or
+x^y y^x = v^w w^v, checkable independently of any numerics.  The numeric one
+evaluates every F(A, B) on one N x N box; a quad first checks that its summed
+tail bound at N reaches the fixed TOLERANCE of 1e-8, and falls back to the
+exact verdict if not.  A comparison whose evaluations would enumerate more
+than the fixed POINT_BUDGET of 10^7 lattice points is refused.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
@@ -28,14 +29,12 @@ from .exact import check_precision, iv_precision, log2_bounds, log_interval
 from .solutions import (
     ScalarIdentity,
     SolutionTuple,
+    _cancels,
+    _side,
+    _terms,
     euler_solution,
     first_oversized_member,
     general_solution,
-    manual_tuple,
-    pair_identity,
-    quad_identity,
-    verify_fractions,
-    verify_power_equation,
 )
 from .vpv import (
     Convention,
@@ -75,13 +74,15 @@ class TransformInstance:
             return [(X, Y)], [(Y, X)]
         return [(X, Y), (Y, X)], [(V, W), (W, V)]
 
+    def _scalar_terms(self) -> list[list]:
+        """Each side's F(A, B) as the term a^b of the scalar identity, a = 1/(1-A) and b = 1/(1-B)."""
+        value = {q: 1 / (1 - q) for q in self.parameters()}
+        return _terms([[(value[A], value[B]) for A, B in side] for side in self.sides()])
+
     @property
     def scalar_identity(self) -> ScalarIdentity:
         """The scalar identity behind the parameters, rebuilt on every access."""
-        values = [1 / (1 - q) for q in self.parameters()]
-        if self.kind == "pair":
-            return pair_identity(*values)
-        return quad_identity(manual_tuple(*values))
+        return ScalarIdentity(*map(_side, self._scalar_terms()))
 
 
 @dataclass(frozen=True)
@@ -125,17 +126,18 @@ def manual_pair(X: Fraction, Y: Fraction) -> TransformInstance:
     return _instance((X, Y))
 
 
-def quad_from_family(a: Fraction, b: Fraction, c: Fraction, digits: int = 0) -> TransformInstance:
+def quad_from_family(a: Fraction, b: Fraction, c: Fraction) -> TransformInstance:
     """Quad instance from the (a, b, c) solution family.
 
     Requires the underlying tuple to be rational-valued with every member
-    above 1/2, so that each mapped parameter lands inside (-1, 1).  Given
-    digits, the interpreter's int-to-str digit limit (0: none), a tuple with
-    a member of more than 3 digits bits is first decided on its exponent
-    vectors (_refuse_early), so that a member at or below 1/2, or a parameter
-    of more than digits decimal digits, is refused before it is multiplied out.
+    above 1/2, so that each mapped parameter lands inside (-1, 1).  With
+    digits = sys.get_int_max_str_digits() (0: no limit), a tuple with a member
+    of more than 3 digits bits is first decided on its exponent vectors
+    (_refuse_early), so that a member at or below 1/2, or a parameter of more
+    than digits decimal digits, is refused before it is multiplied out.
     """
     t = general_solution(a, b, c)
+    digits = sys.get_int_max_str_digits()
     if digits and t.is_rational:
         _refuse_early(t, digits)
     return _from_solution(t.as_fractions())
@@ -187,10 +189,7 @@ def closed_equality_check(t: TransformInstance) -> bool:
     The verdict of t.scalar_identity, decided on exponent vectors without
     building either side.
     """
-    values = [1 / (1 - q) for q in t.parameters()]
-    if t.kind == "pair":
-        return verify_power_equation(*values)
-    return verify_fractions(*values)
+    return _cancels(*t._scalar_terms())
 
 
 def estimated_points(evaluations: int, N: int) -> int:

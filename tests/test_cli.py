@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from xyyx.cli import _json_text, _render, build_parser, main, mpf_hex, parse_rational, render_real
 from xyyx.errors import OversizedValue
-from xyyx.exact import digit_count
+from xyyx.exact import PrimePowerProduct, digit_count
 from xyyx.solutions import general_solution, rational_family, search_integer_solutions
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -178,6 +178,15 @@ class TestVerify:
         for tup in (("1/3", "1/6", "1/2", "4/3"), ("1/2", "1/3", "1/2", "4/3")):
             code, doc = run_json(capsys, "verify", *tup)
             assert code == 0 and doc["results"]["verified"] is True
+
+    def test_nothing_is_multiplied_back_out(self, capsys, monkeypatch):
+        # the tuple keeps the parsed rationals as its values
+        calls = []
+        to_fraction = PrimePowerProduct.to_fraction
+        monkeypatch.setattr(PrimePowerProduct, "to_fraction", lambda u: calls.append(u) or to_fraction(u))
+        code, doc = run_json(capsys, "verify", "1/3", "1/6", "1/2", "4/3")
+        assert code == 0 and doc["results"]["verified"] is True
+        assert calls == []
 
     def test_false_case(self, capsys):
         code, doc = run_json(capsys, "verify", "2/1", "3/1", "2/1", "4/1")
@@ -386,7 +395,7 @@ class TestOversizedValues:
         # at the smallest digit limit, with members from 2^1000 to 2^3900 in
         # size and on both sides of 1/2: b = 1 and a = c +- 1/k give
         # x ~ exp(-1/c) and w = c x, and a = b + c gives integers
-        from xyyx import cli, transforms
+        from xyyx import transforms
         from xyyx.solutions import SolutionTuple
 
         as_fractions = SolutionTuple.as_fractions
@@ -409,7 +418,7 @@ class TestOversizedValues:
                 code, out = run(capsys, *argv)
                 early = not built
                 with monkeypatch.context() as full:
-                    full.setattr(cli, "quad_from_family", lambda a, b, c, digits: transforms.quad_from_family(a, b, c))
+                    full.setattr(transforms, "_refuse_early", lambda t, digits: None)
                     assert run(capsys, *argv) == (code, out), (a, b, c)
                 message = out.splitlines()[1] if code else "answered"
                 outcomes[re.sub(r"\d+", "N", message), early] += 1
@@ -543,7 +552,7 @@ class TestPointBudget:
             ("vpv-eval", "1/2", "3/4"),
             ("transform", "--n", "1"),
             ("transform", "--abc", "3", "2", "1"),
-            # members near exp(-1/2) of 24000 bits: the box is refused before X is printed
+            # members near exp(-1/2) of 24000 bits: X, too long to print, is named before the box is estimated
             ("transform", "--abc", "4001/2000", "1", "2"),
         ],
     )
@@ -552,8 +561,27 @@ class TestPointBudget:
         code, doc = run_json(capsys, *argv, "--truncation", "100000")
         assert time.perf_counter() - t0 < 1.0
         assert code == 1 and doc["status"] == "error"
-        assert "lattice points" in doc["message"]
-        assert "point budget of 10000000" in doc["message"]
+        if "4001/2000" in argv:
+            limit = sys.get_int_max_str_digits()
+            assert doc["message"] == f"results.parameters.X has more than {limit} decimal digits"
+        else:
+            assert "lattice points" in doc["message"]
+            assert "point budget of 10000000" in doc["message"]
+
+    def test_oversized_parameter_is_named_before_the_box_is_estimated(self):
+        # members of millions of digits and a box over the budget: the size
+        # error comes at once, with no member multiplied out
+        script = (
+            "import sys, time; from xyyx.cli import main; t0 = time.perf_counter(); "
+            "code = main(sys.argv[1:]); print(code, time.perf_counter() - t0, file=sys.stderr)"
+        )
+        argv = ("transform", "--abc", "3000001/1000000", "2", "2", "--truncation", "3000", "--json")
+        done = run_child(script, *argv)
+        code, seconds = done.stderr.split()
+        doc = json.loads(done.stdout)
+        assert code == "1" and doc["status"] == "error"
+        assert doc["message"] == f"results.parameters.X has more than {sys.get_int_max_str_digits()} decimal digits"
+        assert float(seconds) < 1.0
 
     def test_point_budget_is_not_a_flag(self, capsys):
         # the budget is fixed at 10^7 for every product evaluation

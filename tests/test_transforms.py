@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,8 +7,15 @@ from mpmath import mp
 
 from xyyx import transforms
 from xyyx.errors import DomainViolation, NonRationalTuple, PointBudgetExceeded
-from xyyx.exact import iv_precision
-from xyyx.solutions import euler_solution, general_solution, pair_identity, quad_identity
+from xyyx.exact import PrimePowerProduct, iv_precision
+from xyyx.solutions import (
+    euler_solution,
+    general_solution,
+    pair_identity,
+    quad_identity,
+    verify_fractions,
+    verify_power_equation,
+)
 from xyyx.transforms import (
     TransformInstance,
     closed_equality_check,
@@ -98,6 +106,35 @@ class TestClosedEqualityCheck:
         inst = manual_quad(F(1, 2), F(3, 4), F(1, 2), F(1, 2))
         assert closed_equality_check(inst) is False
         assert not inst.scalar_identity.holds
+
+    def test_verdict_and_identity_agree_with_the_solution_checks(self):
+        # pairs and quads, true and false, V = W among them; the reference is
+        # the pair or quad check of the values 1/(1 - q)
+        rng = random.Random(19)
+        param = lambda: F(rng.randrange(-59, 60), 60)
+        insts = [pair_from_euler(n) for n in range(1, 8)]
+        insts += [quad_from_family(*map(F, abc)) for abc in ((3, 2, 1), (4, 2, 2), (8, 6, 2), (9, 6, 3))]
+        insts += [manual_pair(param(), param()) for _ in range(30)]
+        insts += [manual_quad(param(), param(), param(), param()) for _ in range(30)]
+        insts += [manual_quad(X, Y, Y, X) for X, Y in ((F(1, 2), F(1, 3)), (F(-1, 5), F(2, 7)))]
+        insts += [manual_quad(F(1, 2), F(1, 3), F(1, 4), F(1, 4))]
+        verdicts = set()
+        for inst in insts:
+            values = [1 / (1 - q) for q in inst.parameters()]
+            check = verify_power_equation if inst.kind == "pair" else verify_fractions
+            verdict = check(*values)
+            assert closed_equality_check(inst) is verdict, inst
+            assert inst.scalar_identity.holds is verdict, inst
+            verdicts.add((inst.kind, verdict))
+        assert verdicts == {("pair", True), ("pair", False), ("quad", True), ("quad", False)}
+
+    def test_quad_verdict_multiplies_nothing_back_out(self, monkeypatch):
+        inst = quad_from_family(F(8), F(6), F(2))
+        calls = []
+        to_fraction = PrimePowerProduct.to_fraction
+        monkeypatch.setattr(PrimePowerProduct, "to_fraction", lambda u: calls.append(u) or to_fraction(u))
+        assert closed_equality_check(inst) is True
+        assert calls == []
 
 
 class TestVerifyPairTransform:
