@@ -18,7 +18,8 @@ status is "error".  Rationals are read as "p/q" or "p" (no decimals).
 Handlers return the values they computed and main renders each record once:
 rationals and prime-power products as strings, high-precision reals in
 scientific decimal and as bit-exact hex floats, and a value past the
-interpreter's int-to-str digit limit as an error naming its field.
+interpreter's int-to-str digit limit (4300 digits when that limit is off,
+exact.digit_limit) as an error naming its field.
 """
 
 from __future__ import annotations
@@ -37,8 +38,18 @@ from mpmath import mp
 
 from . import __version__
 from .errors import NonIntegerValue, NonPositiveParameter, OversizedValue
-from .exact import PrimePowerProduct, check_precision, digit_count, log10_interval, log2_bounds
+from .exact import (
+    PrimePowerProduct,
+    check_precision,
+    digit_count,
+    digit_limit,
+    exceeds_digits,
+    factorize,
+    log10_interval,
+    log2_bounds,
+)
 from .solutions import (
+    _euler_verdict,
     classify_triviality,
     euler_solution,
     first_oversized_member,
@@ -48,7 +59,6 @@ from .solutions import (
     quad_identity,
     rational_family,
     search_integer_solutions,
-    verify_power_equation,
     verify_product_equation,
 )
 from .transforms import (
@@ -69,13 +79,13 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" with optional sign; decimals are rejected, and so is a
-    term with more digits than the interpreter's int-to-str digit limit."""
+    term of more than digit_limit() digits."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational of the form p/q or p: {text!r}")
-    limit = sys.get_int_max_str_digits()
+    limit = digit_limit()
     for term, digits in zip(("numerator", "denominator"), s.lstrip("+-").split("/")):
-        if limit and len(digits) > limit:
+        if len(digits) > limit:
             raise OversizedValue(f"the {term} of a rational argument has more than {limit} decimal digits")
     try:
         return Fraction(s)
@@ -120,11 +130,11 @@ def _scientific(x, digits: int) -> str:
 
 
 def _oversized(path: str) -> OversizedValue:
-    return OversizedValue(f"{path} has more than {sys.get_int_max_str_digits()} decimal digits")
+    return OversizedValue(f"{path} has more than {digit_limit()} decimal digits")
 
 
 class _Unprintable(Exception):
-    """A leaf past the int-to-str digit limit; the keys above it join path on the way out."""
+    """A leaf past the digit limit; the keys above it join path on the way out."""
 
     def __init__(self):
         super().__init__()
@@ -132,24 +142,31 @@ class _Unprintable(Exception):
 
 
 def _leaf(value, limit: int):
-    """An int as itself, a Fraction or product as its string; limit is the digit limit.
+    """An int as itself, a Fraction or product as its string; limit is digit_limit().
 
-    Ints are tried here, as json.dumps in emit would raise outside main's try.
+    An int or a Fraction term of more than limit digits is refused here, as
+    the interpreter refuses it at its own limit, and also when that limit is
+    off; ints are tried here, as json.dumps in emit would raise outside main's try.
     """
-    try:
-        if not isinstance(value, int):
-            return str(value)
-        if limit and value.bit_length() > 3 * limit:  # 3 * limit bits hold fewer than limit digits
-            str(value)
+    if isinstance(value, int):
+        if exceeds_digits(value, limit):
+            raise _Unprintable
         return value
-    except ValueError:
+    try:
+        text = str(value)
+    except ValueError:  # past the interpreter's own limit
         raise _Unprintable from None
+    # with that limit off; a text of at most limit characters has no such term
+    if len(text) > limit and isinstance(value, Fraction):
+        if exceeds_digits(value.numerator, limit) or exceeds_digits(value.denominator, limit):
+            raise _Unprintable
+    return text
 
 
 def _printable(value, path: str):
-    """_leaf at the interpreter's digit limit; past it, OversizedValue naming path."""
+    """_leaf at digit_limit(); past it, OversizedValue naming path."""
     try:
-        return _leaf(value, sys.get_int_max_str_digits())
+        return _leaf(value, digit_limit())
     except _Unprintable:
         raise _oversized(path) from None
 
@@ -161,7 +178,7 @@ def _render(value, precision_bits: int | None):
     when the leaf cannot be printed, as the OversizedValue naming it.
     """
     try:
-        return _form(value, precision_bits, sys.get_int_max_str_digits())
+        return _form(value, precision_bits, digit_limit())
     except _Unprintable as exc:
         raise _oversized("".join(reversed(exc.path)).lstrip(".")) from None
 
@@ -285,10 +302,11 @@ def cmd_euler(args) -> dict:
     if args.n_max < 1:
         raise NonPositiveParameter("n_max must be >= 1")
     euler_solution(args.n_max)  # refuses an n_max too large to print before the first row
+    factor = functools.cache(factorize)  # each of 1..n_max + 1 is factored once
     rows = []
     for n in range(1, args.n_max + 1):
         x, y = euler_solution(n)
-        rows.append({"n": n, "x": x, "y": y, "verified": verify_power_equation(x, y)})
+        rows.append({"n": n, "x": x, "y": y, "verified": _euler_verdict(n, x, y, factor)})
     return _result("euler", {"n_max": args.n_max}, {"solutions": rows})
 
 
@@ -316,8 +334,7 @@ def cmd_family(args) -> dict:
         inputs["a"] = a
         t = general_solution(a, Fraction(args.b), Fraction(args.c))
     if t.is_rational:
-        limit = sys.get_int_max_str_digits()
-        oversized = limit and first_oversized_member(t, limit)
+        oversized = first_oversized_member(t, digit_limit())
         if oversized:  # the error _render would give, before the members are multiplied out
             raise _oversized(f"results.{oversized}")
         payload = _tuple_payload(t, verify_product_equation(t), "exact")
@@ -342,8 +359,8 @@ def cmd_digits(args) -> dict:
             f"family ({args.b}, {args.c}) is not integer-valued: x = {t.x}"
         )
     # digits > y log10 x >= 2^ly lx / 4, which has more than limit digits once ly >= 4 limit + 2
-    limit, lx, ly = sys.get_int_max_str_digits(), log2_bounds(t.x)[0], log2_bounds(t.y)[0]
-    if limit and lx and ly >= 4 * limit + 2:
+    limit, lx, ly = digit_limit(), log2_bounds(t.x)[0], log2_bounds(t.y)[0]
+    if lx and ly >= 4 * limit + 2:
         raise _oversized("results.digits")
     common = quad_identity(t).left
     digits = _printable(digit_count(common), "results.digits")  # scientific prints it below
@@ -436,7 +453,7 @@ def cmd_transform(args) -> dict:
 
 def cmd_search(args) -> dict:
     try:  # the first row past the digit limit is refused by the scan, before any tuple is built
-        found = search_integer_solutions(args.b_max, args.c_max, sys.get_int_max_str_digits())
+        found = search_integer_solutions(args.b_max, args.c_max, digit_limit())
     except OversizedValue as exc:
         raise OversizedValue(f"results.{exc}") from None
     rows = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -361,6 +362,24 @@ class PrimePowerProduct:
 
 
 ONE = PrimePowerProduct()
+
+
+def digit_limit() -> int:
+    """The decimal digits past which a value is refused as unprintable.
+
+    The interpreter's int-to-str limit, sys.get_int_max_str_digits(), or its
+    default, sys.int_info.default_max_str_digits (4300), when that limit is
+    switched off (0), so that every early refusal keeps bounding the work.
+    """
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def exceeds_digits(n: int, limit: int) -> bool:
+    """Whether |n| has more than limit decimal digits, the interpreter's own test.
+
+    As 2^(3 limit) < 10^limit, an n of at most 3 limit bits builds no power of ten.
+    """
+    return n.bit_length() > 3 * limit and abs(n) >= 10**limit
 
 
 # One mpmath log at 2^16 bits takes about 0.4 s with the pure-Python backend,

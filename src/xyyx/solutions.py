@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +28,7 @@ from .exact import (
     PrimePowerProduct,
     _exponent,
     check_precision,
+    digit_limit,
     factorize,
     iv_precision,
     log2_bounds,
@@ -44,8 +44,9 @@ class SolutionTuple:
     """One solution (x, y, v, w) of x^y y^x = v^w w^v.
 
     params holds the generating parameters (a, b, c or b, c) when applicable.
-    as_fractions keeps the members' values, given to manual_tuple or multiplied
-    out once, in the instance's __dict__, outside the compared and hashed fields.
+    as_fractions keeps the members' values in the instance's __dict__, outside
+    the compared and hashed fields: those given to manual_tuple, those a search
+    row is built from, or else the members multiplied out once.
     """
 
     x: PrimePowerProduct
@@ -138,20 +139,31 @@ def euler_solution(n: int) -> tuple[Fraction, Fraction]:
     """The n-th rational solution of x^y = y^x: x = (1+1/n)^n, y = (1+1/n)^(n+1).
 
     Refuses, before building it, an n whose y has a numerator (n+1)^(n+1)
-    with more decimal digits than the interpreter converts to a string
-    (sys.get_int_max_str_digits(); n >= 1370 at the default 4300).
+    of more than digit_limit() decimal digits (n >= 1370 at the default 4300).
     """
     if n < 1:
         raise NonPositiveParameter(f"n must be >= 1, got {n}")
-    m, limit = n + 1, sys.get_int_max_str_digits()
+    m, limit = n + 1, digit_limit()
     # m^m < 2^(3 limit) < 10^limit needs no test; m >= 4 limit gives m^m > 16^limit
-    if limit and m.bit_length() * m > 3 * limit and (m >= 4 * limit or m**m >= 10**limit):
+    if m.bit_length() * m > 3 * limit and (m >= 4 * limit or m**m >= 10**limit):
         raise OversizedValue(
             f"n = {n} is too large: the numerator of y = ((n+1)/n)^(n+1) "
             f"has more than {limit} decimal digits"
         )
     base = Fraction(n + 1, n)
     return base**n, base ** (n + 1)
+
+
+def _euler_verdict(n: int, x: Fraction, y: Fraction, factor) -> bool:
+    """verify_power_equation(x, y) for the n-th Euler row, on the vectors the row is built from.
+
+    With d = vec(n+1) - vec(n), n and n + 1 being coprime, x = ((n+1)/n)^n
+    has vec(x) = n d and y = x (n+1)/n has vec(y) = (n+1) d, so factor, a
+    factorize, is asked for n and n + 1 only.  x and y themselves, the values
+    the row prints, stay the multipliers, so a wrong x or y gives False.
+    """
+    d = [(p, -e) for p, e in factor(n)] + factor(n + 1)
+    return _cancels([(y, [(p, n * e) for p, e in d])], [(x, [(p, (n + 1) * e) for p, e in d])])
 
 
 def verify_power_equation(x: Fraction, y: Fraction) -> bool:
@@ -223,8 +235,13 @@ def verify_fractions(x: Fraction, y: Fraction, v: Fraction, w: Fraction) -> bool
 
 def manual_tuple(x: Fraction, y: Fraction, v: Fraction, w: Fraction) -> SolutionTuple:
     """The tuple of four positive rationals; its as_fractions returns them, multiplying nothing out."""
-    t = SolutionTuple(*map(PrimePowerProduct.from_fraction, (x, y, v, w)))
-    t.__dict__["_fractions"] = tuple(map(Fraction, (x, y, v, w)))
+    values = tuple(map(Fraction, (x, y, v, w)))
+    return _with_fractions(SolutionTuple(*map(PrimePowerProduct.from_fraction, values)), values)
+
+
+def _with_fractions(t: SolutionTuple, values: tuple[Fraction, ...]) -> SolutionTuple:
+    """t, with values, the Fractions of its members, as its as_fractions cache."""
+    t.__dict__["_fractions"] = values
     return t
 
 
@@ -324,8 +341,10 @@ def search_integer_solutions(b_max: int, c_max: int, digits: int = 0) -> list[So
     g^bitlen(b+c) = 0 (mod b+c).
 
     Each integer among the b, c and b+c of the rows found is factored once,
-    when a row first needs it.  A box of more than SEARCH_BUDGET pairs is
-    refused (check_search_box).
+    when a row first needs it.  Each row carries its values, built from
+    b and c as y = b^c c^b, x = y // (b+c), v = b x and w = c x, as its
+    as_fractions cache, so no member is multiplied back out.  A box of more
+    than SEARCH_BUDGET pairs is refused (check_search_box).
 
     With digits >= 1, the same scan refuses the first row with a value of
     more than digits decimal digits, raising OversizedValue naming it as
@@ -350,4 +369,10 @@ def search_integer_solutions(b_max: int, c_max: int, digits: int = 0) -> list[So
                         )
                 pairs.append((b, c))
     fac = functools.cache(factorize)
-    return [_family(b + c, b, c, fac(b + c), fac(b), fac(c), (Fraction(b), Fraction(c))) for b, c in pairs]
+    rows = []
+    for b, c in pairs:
+        t = _family(b + c, b, c, fac(b + c), fac(b), fac(c), (Fraction(b), Fraction(c)))
+        y = b**c * c**b
+        x = y // (b + c)
+        rows.append(_with_fractions(t, (Fraction(x), Fraction(y), Fraction(b * x), Fraction(c * x))))
+    return rows

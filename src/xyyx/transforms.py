@@ -17,7 +17,6 @@ than the fixed POINT_BUDGET of 10^7 lattice points is refused.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
@@ -25,7 +24,7 @@ from functools import reduce
 from mpmath import iv, mp
 
 from .errors import OversizedValue, PointBudgetExceeded
-from .exact import check_precision, iv_precision, log2_bounds, log_interval
+from .exact import check_precision, digit_limit, iv_precision, log2_bounds, log_interval
 from .solutions import (
     ScalarIdentity,
     SolutionTuple,
@@ -131,15 +130,14 @@ def quad_from_family(a: Fraction, b: Fraction, c: Fraction) -> TransformInstance
 
     Requires the underlying tuple to be rational-valued with every member
     above 1/2, so that each mapped parameter lands inside (-1, 1).  With
-    digits = sys.get_int_max_str_digits() (0: no limit), a tuple with a member
-    of more than 3 digits bits is first decided on its exponent vectors
-    (_refuse_early), so that a member at or below 1/2, or a parameter of more
-    than digits decimal digits, is refused before it is multiplied out.
+    digits = digit_limit(), a tuple with a member of more than 3 digits bits
+    is first decided on its exponent vectors (_refuse_early), so that a
+    member at or below 1/2, or a parameter of more than digits decimal
+    digits, is refused before it is multiplied out.
     """
     t = general_solution(a, b, c)
-    digits = sys.get_int_max_str_digits()
-    if digits and t.is_rational:
-        _refuse_early(t, digits)
+    if t.is_rational:
+        _refuse_early(t, digit_limit())
     return _from_solution(t.as_fractions())
 
 
@@ -154,8 +152,8 @@ def _refuse_early(t: SolutionTuple, digits: int) -> None:
     hi <= 3 digits, by log_interval otherwise.  With every u > 1/2, the
     parameter (n - d)/n has the larger term n > d/2, so n >= 2^(lo - 1), and
     n <= 2^hi: first_oversized_member's answer for the members holds for the
-    parameters, as 2^(4 digits - 1) >= 10^digits for digits >= 2 (the
-    interpreter's limit is 0 or at least 640).  For u <= 1/2 the larger term
+    parameters, as 2^(4 digits - 1) >= 10^digits for digits >= 2
+    (digit_limit() is at least 640).  For u <= 1/2 the larger term
     is d - n >= d/2 >= 2^(lo - 1) in the same way.
     """
     bounds = [log2_bounds(u) for u in t.values()]

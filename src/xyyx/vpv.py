@@ -36,7 +36,6 @@ single visible axis point (0, 1), whose factor (1-Y) lifts the exponent to
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -45,7 +44,7 @@ from itertools import compress
 from mpmath import iv, mp
 
 from .errors import DomainViolation
-from .exact import check_precision, iv_precision
+from .exact import check_precision, digit_limit, exceeds_digits, iv_precision
 
 # Extra working precision; results are returned carrying these guard bits so
 # that structural identities (axis = strict + one factor) hold bit-exactly.
@@ -85,15 +84,14 @@ class EvalReport:
 def check_unit(name: str, q: Fraction) -> Fraction:
     """The product parameter q as a Fraction; refuses |q| >= 1, naming it.
 
-    A q past the interpreter's int-to-str digit limit is named, not printed.
+    A q with a term of more than digit_limit() digits is named, not printed.
     """
     q = Fraction(q)
     if abs(q) >= 1:
-        try:
-            shown = str(q)
-        except ValueError:
-            raise unit_violation(name, sys.get_int_max_str_digits()) from None
-        raise DomainViolation(f"|{name}| must be < 1, got {name} = {shown}")
+        limit = digit_limit()
+        if exceeds_digits(q.numerator, limit) or exceeds_digits(q.denominator, limit):
+            raise unit_violation(name, limit)
+        raise DomainViolation(f"|{name}| must be < 1, got {name} = {q}")
     return q
 
 

@@ -455,6 +455,66 @@ class TestOversizedValues:
             _render({"results": {"rows": [{"n": 1}, {"n": 10**limit}]}}, None)
 
 
+class TestDigitLimitOff:
+    """With the int-to-str limit switched off (0), every refusal keys on its default of 4300 digits."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("euler", "100000"), "n = 100000 is too large: the numerator of y = ((n+1)/n)^(n+1) has more than"),
+            (("search", "3000", "3000"), "results.solutions[526].x has more than"),
+            (("transform", "--abc", "3000001/1000000", "2", "2"), "results.parameters.X has more than"),
+        ],
+    )
+    def test_refused_at_once(self, argv, message):
+        # each ran on, building values of millions of digits, until a timeout stopped it
+        script = (
+            "import sys, time\n"
+            "assert sys.get_int_max_str_digits() == 0\n"
+            "from xyyx.cli import main\n"
+            "t0 = time.perf_counter()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(time.perf_counter() - t0, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, argv[0], "--json", *argv[1:]], capture_output=True, text=True,
+            timeout=20, env={**child_env(), "PYTHONINTMAXSTRDIGITS": "0"},
+        )
+        assert float(proc.stderr) < 1.0
+        doc = json.loads(proc.stdout)
+        assert proc.returncode == 1 and doc["status"] == "error"
+        assert doc["message"] == f"{message} 4300 decimal digits"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("euler", "20"),
+            ("euler", "1370"),
+            ("search", "60", "60"),
+            ("search", "1000", "1000"),
+            ("family", "750", "750"),  # x has 4310 digits, past what its bounds can tell
+            ("family", "2000000", "2000000"),
+            ("family", "2", "2", "--a", "1/" + "9" * 4301),
+            ("digits", "1000", "1000"),
+            ("verify", "9" * 4301, "1", "1", "1"),
+            ("transform", "--abc", "10001/10000", "1", "1"),
+            ("transform", "--abc", "3000001/1000000", "2", "2", "--truncation", "3000"),
+            ("vpv-eval", "1/" + "7" * 4301, "1/2", "--truncation", "3"),
+        ],
+    )
+    def test_same_record_as_at_the_default_limit(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        records = []
+        try:
+            for digits in (4300, 0):
+                sys.set_int_max_str_digits(digits)
+                records.append([run(capsys, argv[0], *flag, *argv[1:]) for flag in ((), ("--json",))])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert records[0] == records[1]
+
+
 class TestVpvEval:
     def test_emits_full_report(self, capsys):
         code, doc = run_json(

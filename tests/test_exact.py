@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction as F
 
@@ -20,6 +21,8 @@ from xyyx.exact import (
     ONE,
     PrimePowerProduct,
     digit_count,
+    digit_limit,
+    exceeds_digits,
     factorize,
     is_prime,
     log10_interval,
@@ -441,3 +444,32 @@ class TestAlgebraProperties:
         for p, e in exps.items():
             n *= p**e
         assert digit_count(ppp_from(exps)) == len(str(n))
+
+
+class TestDigitLimit:
+    def test_a_limit_switched_off_reads_the_default(self):
+        saved = sys.get_int_max_str_digits()
+        try:
+            for limit, expected in ((0, sys.int_info.default_max_str_digits), (640, 640), (4300, 4300), (9000, 9000)):
+                sys.set_int_max_str_digits(limit)
+                assert digit_limit() == expected, limit
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert sys.int_info.default_max_str_digits == 4300
+
+    @pytest.mark.parametrize("limit", [640, 641, 4300])
+    def test_exceeds_digits_is_the_interpreters_refusal(self, limit):
+        ten = 10**limit
+        cases = [0, 1, -7, ten // 10, ten - 1, ten, ten + 1, -(ten - 1), -ten, 2 ** (3 * limit), 2 ** (4 * limit), 3**5000]
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            for n in cases:
+                try:
+                    str(n)
+                    refused = False
+                except ValueError:
+                    refused = True
+                assert exceeds_digits(n, limit) is refused, (limit, n.bit_length())
+        finally:
+            sys.set_int_max_str_digits(saved)

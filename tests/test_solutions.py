@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from xyyx import cli, solutions, transforms
+from xyyx import cli, exact, solutions, transforms
 from xyyx.errors import (
     DegenerateParameters,
     NonPositiveParameter,
@@ -548,6 +548,53 @@ class TestOnePassCounts:
                 t.as_fractions()
             with pytest.raises(NonRationalTuple):
                 quad_identity(t)
+
+
+class TestRowsFromTheirConstruction:
+    """Euler and search rows come from the integers they are built of, each factored once."""
+
+    @staticmethod
+    def counted(monkeypatch, owners, name: str) -> Counter:
+        """Calls of owner.name, for every owner, counted by their first argument."""
+        calls: Counter = Counter()
+        for owner in owners:
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda u, f=original: calls.update([u]) or f(u))
+        return calls
+
+    def test_euler_factors_each_integer_once(self, monkeypatch, capsys):
+        # every module's name for factorize, so from_fraction's calls count too
+        calls = self.counted(monkeypatch, (cli, solutions, exact), "factorize")
+        assert cli.main(["euler", "50", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["solutions"]
+        assert len(rows) == 50 and all(row["verified"] for row in rows)
+        assert calls == Counter(range(1, 52))
+
+    def test_no_member_is_multiplied_back_out(self, monkeypatch, capsys):
+        calls = self.counted(monkeypatch, (PrimePowerProduct,), "to_fraction")
+        assert ONE.to_fraction() == 1 and sum(calls.values()) == 1  # the counter is in place
+        calls.clear()
+        assert cli.main(["euler", "60", "--json"]) == 0
+        found = search_integer_solutions(60, 60)
+        assert all(verify_product_equation(t) for t in found) and len(found) == 176
+        assert cli.main(["search", "60", "60", "--json"]) == 0
+        capsys.readouterr()
+        assert not calls
+
+    def test_euler_verdict_is_verify_power_equation(self):
+        for n in range(1, 201):
+            x, y = euler_solution(n)
+            assert solutions._euler_verdict(n, x, y, solutions.factorize) is verify_power_equation(x, y) is True, n
+            # the printed values are the multipliers, so a wrong y is caught
+            assert not solutions._euler_verdict(n, x, y + 1, solutions.factorize), n
+            assert not solutions._euler_verdict(n, x, x, solutions.factorize), n
+
+    def test_search_rows_carry_their_members_values(self):
+        found = search_integer_solutions(200, 200)
+        assert len(found) == 918
+        for t in found:
+            assert t.as_fractions() == tuple(u.to_fraction() for u in t.values()), t.params
+            assert all(type(q) is F and q.denominator == 1 for q in t.as_fractions()), t.params
 
 
 # The algebra general_solution used before it went through the family
