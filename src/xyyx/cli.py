@@ -19,7 +19,9 @@ Handlers return the values they computed and main renders each record once:
 rationals and prime-power products as strings, high-precision reals in
 scientific decimal and as bit-exact hex floats, and a value past the
 interpreter's int-to-str digit limit (4300 digits when that limit is off,
-exact.digit_limit) as an error naming its field.
+exact.digit_limit) as an error naming its field.  Whether a value is past it
+is decided by exact.exceeds_digits, which the handlers also ask about a
+value before they build it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -52,7 +55,6 @@ from .solutions import (
     _euler_verdict,
     classify_triviality,
     euler_solution,
-    first_oversized_member,
     general_solution,
     manual_tuple,
     numeric_verify,
@@ -86,7 +88,7 @@ def parse_rational(text: str) -> Fraction:
     limit = digit_limit()
     for term, digits in zip(("numerator", "denominator"), s.lstrip("+-").split("/")):
         if len(digits) > limit:
-            raise OversizedValue(f"the {term} of a rational argument has more than {limit} decimal digits")
+            raise OversizedValue(f"the {term} of a rational argument", limit)
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -129,8 +131,8 @@ def _scientific(x, digits: int) -> str:
     return f"{mantissa}e+{int(exponent) + k}"
 
 
-def _oversized(path: str) -> OversizedValue:
-    return OversizedValue(f"{path} has more than {digit_limit()} decimal digits")
+def _oversized(field: str) -> OversizedValue:
+    return OversizedValue(f"results.{field}", digit_limit())
 
 
 class _Unprintable(Exception):
@@ -157,18 +159,9 @@ def _leaf(value, limit: int):
     except ValueError:  # past the interpreter's own limit
         raise _Unprintable from None
     # with that limit off; a text of at most limit characters has no such term
-    if len(text) > limit and isinstance(value, Fraction):
-        if exceeds_digits(value.numerator, limit) or exceeds_digits(value.denominator, limit):
-            raise _Unprintable
+    if len(text) > limit and isinstance(value, Fraction) and exceeds_digits(value, limit):
+        raise _Unprintable
     return text
-
-
-def _printable(value, path: str):
-    """_leaf at digit_limit(); past it, OversizedValue naming path."""
-    try:
-        return _leaf(value, digit_limit())
-    except _Unprintable:
-        raise _oversized(path) from None
 
 
 def _render(value, precision_bits: int | None):
@@ -180,7 +173,7 @@ def _render(value, precision_bits: int | None):
     try:
         return _form(value, precision_bits, digit_limit())
     except _Unprintable as exc:
-        raise _oversized("".join(reversed(exc.path)).lstrip(".")) from None
+        raise OversizedValue("".join(reversed(exc.path)).lstrip("."), digit_limit()) from None
 
 
 def _form(value, precision_bits: int | None, limit: int):
@@ -334,9 +327,9 @@ def cmd_family(args) -> dict:
         inputs["a"] = a
         t = general_solution(a, Fraction(args.b), Fraction(args.c))
     if t.is_rational:
-        oversized = first_oversized_member(t, digit_limit())
-        if oversized:  # the error _render would give, before the members are multiplied out
-            raise _oversized(f"results.{oversized}")
+        for name, u in zip("xyvw", t.values()):  # _render's error, before anything is multiplied out
+            if exceeds_digits(u, digit_limit()):
+                raise _oversized(name)
         payload = _tuple_payload(t, verify_product_equation(t), "exact")
     else:
         ok, _ = numeric_verify(t, args.precision)
@@ -358,12 +351,13 @@ def cmd_digits(args) -> dict:
         raise NonIntegerValue(
             f"family ({args.b}, {args.c}) is not integer-valued: x = {t.x}"
         )
-    # digits > y log10 x >= 2^ly lx / 4, which has more than limit digits once ly >= 4 limit + 2
-    limit, lx, ly = digit_limit(), log2_bounds(t.x)[0], log2_bounds(t.y)[0]
-    if lx and ly >= 4 * limit + 2:
-        raise _oversized("results.digits")
+    # the count is more than y log10 x >= 2^(ly - 2), as x >= 2 here
+    if exceeds_digits(None, digit_limit(), (log2_bounds(t.y)[0] - 2, math.inf)):
+        raise _oversized("digits")
     common = quad_identity(t).left
-    digits = _printable(digit_count(common), "results.digits")  # scientific prints it below
+    digits = digit_count(common)
+    if exceeds_digits(digits, digit_limit()):  # before scientific prints it
+        raise _oversized("digits")
     enc = log10_interval(common, args.precision)
     # log10 u has digits.bit_length() integer bits; mid keeps p + 8 below the point
     with mp.workprec(args.precision + digits.bit_length() + 8):
@@ -420,7 +414,7 @@ def cmd_transform(args) -> dict:
             inst = quad_from_family(a, b, c)
         except OversizedValue as exc:
             check_box(args.truncation, args.truncation)  # a box below 1 is reported first
-            raise OversizedValue(f"results.{exc}") from None
+            raise _oversized(exc.what) from None
         inputs = {"a": a, "b": b, "c": c}
         verify = verify_quad_transform
     report = verify(
@@ -455,7 +449,7 @@ def cmd_search(args) -> dict:
     try:  # the first row past the digit limit is refused by the scan, before any tuple is built
         found = search_integer_solutions(args.b_max, args.c_max, digit_limit())
     except OversizedValue as exc:
-        raise OversizedValue(f"results.{exc}") from None
+        raise _oversized(exc.what) from None
     rows = []
     for t in found:
         b, c = t.params

@@ -34,4 +34,8 @@ class FactorizationBudgetExceeded(ValueError):
 
 
 class OversizedValue(ValueError):
-    """A value has more decimal digits than the interpreter converts to a string."""
+    """A value, named by what, has more decimal digits than the interpreter converts to a string."""
+
+    def __init__(self, what: str, limit: int):
+        super().__init__(f"{what} has more than {limit} decimal digits")
+        self.what = what

@@ -374,12 +374,37 @@ def digit_limit() -> int:
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
-def exceeds_digits(n: int, limit: int) -> bool:
-    """Whether |n| has more than limit decimal digits, the interpreter's own test.
+def exceeds_digits(value, limit: int, bits: tuple[int, int] | None = None) -> bool | None:
+    """Whether value, an int, a Fraction, a rational PrimePowerProduct or a
+    function of no arguments building one, has a term of more than limit
+    decimal digits: the interpreter's own refusal of str(value) at limit.
 
-    As 2^(3 limit) < 10^limit, an n of at most 3 limit bits builds no power of ten.
+    bits = (lo, hi), hi possibly math.inf, bound the largest term t as
+    2^lo <= t <= 2^hi; they default to value's bit_length or log2_bounds.
+    As 2^(3 limit) < 10^limit <= 2^(4 limit), hi <= 3 limit gives False and
+    lo >= 4 limit True, building nothing.  Between them value is built and
+    t compared with 10^limit; a value of None asks the bounds alone, None there.
     """
-    return n.bit_length() > 3 * limit and abs(n) >= 10**limit
+    if bits is not None:
+        lo, hi = bits
+    elif isinstance(value, int):  # every int a record prints; bit_length ignores the sign
+        lo, hi = value.bit_length() - 1, value.bit_length()
+    elif isinstance(value, Fraction):
+        hi = max(value.numerator.bit_length(), value.denominator.bit_length())
+        lo = hi - 1
+    else:
+        lo, hi = log2_bounds(value)
+    if hi <= 3 * limit:
+        return False
+    if lo >= 4 * limit:
+        return True
+    if value is None:
+        return None
+    if callable(value):
+        value = value()
+    if isinstance(value, PrimePowerProduct):
+        value = value.to_fraction()
+    return max(abs(value.numerator), value.denominator) >= 10**limit
 
 
 # One mpmath log at 2^16 bits takes about 0.4 s with the pure-Python backend,

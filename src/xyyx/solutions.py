@@ -29,9 +29,9 @@ from .exact import (
     _exponent,
     check_precision,
     digit_limit,
+    exceeds_digits,
     factorize,
     iv_precision,
-    log2_bounds,
     log_interval,
 )
 
@@ -138,18 +138,14 @@ class TrivialityVerdict:
 def euler_solution(n: int) -> tuple[Fraction, Fraction]:
     """The n-th rational solution of x^y = y^x: x = (1+1/n)^n, y = (1+1/n)^(n+1).
 
-    Refuses, before building it, an n whose y has a numerator (n+1)^(n+1)
-    of more than digit_limit() decimal digits (n >= 1370 at the default 4300).
+    Refuses an n whose y has a numerator m^m, m = n + 1, of more than digit_limit()
+    decimal digits (n >= 1370 at the default 4300), by exceeds_digits on its bounds.
     """
     if n < 1:
         raise NonPositiveParameter(f"n must be >= 1, got {n}")
     m, limit = n + 1, digit_limit()
-    # m^m < 2^(3 limit) < 10^limit needs no test; m >= 4 limit gives m^m > 16^limit
-    if m.bit_length() * m > 3 * limit and (m >= 4 * limit or m**m >= 10**limit):
-        raise OversizedValue(
-            f"n = {n} is too large: the numerator of y = ((n+1)/n)^(n+1) "
-            f"has more than {limit} decimal digits"
-        )
+    if exceeds_digits(lambda: m**m, limit, (m * m.bit_length() - m, m * m.bit_length())):
+        raise OversizedValue(f"n = {n} is too large: the numerator of y = ((n+1)/n)^(n+1)", limit)
     base = Fraction(n + 1, n)
     return base**n, base ** (n + 1)
 
@@ -290,23 +286,6 @@ def classify_triviality(t: SolutionTuple) -> TrivialityVerdict:
     return TrivialityVerdict(False, "none")
 
 
-def first_oversized_member(t: SolutionTuple, limit: int) -> str | None:
-    """The first of the rational tuple's x, y, v, w, in record order, that surely has
-    more than limit decimal digits while every member before it surely has fewer;
-    None when none does, or when a member's bounds cannot tell.
-
-    As 2^(3 limit) < 10^limit <= 2^(4 limit), lo >= 4 limit is surely too long
-    and hi <= 3 limit surely short enough (log2_bounds).
-    """
-    for name, u in zip("xyvw", t.values()):
-        lo, hi = log2_bounds(u)
-        if lo >= 4 * limit:
-            return name
-        if hi > 3 * limit:
-            return None
-    return None
-
-
 def _family_is_integral(b: int, c: int) -> bool:
     """Whether (b+c) divides b^c c^b, by the gcd test of search_integer_solutions.
 
@@ -314,6 +293,11 @@ def _family_is_integral(b: int, c: int) -> bool:
     """
     g = math.gcd(b, c)
     return g > 1 and pow(g, (b + c).bit_length(), b + c) == 0
+
+
+def _y_exceeds(b: int, c: int, digits: int) -> bool:
+    """Whether y = b^c c^b has more than digits decimal digits, by exceeds_digits on y's bit bound."""
+    return exceeds_digits(lambda: b**c * c**b, digits, (0, c * b.bit_length() + b * c.bit_length()))
 
 
 def check_search_box(b_max: int, c_max: int) -> None:
@@ -350,23 +334,18 @@ def search_integer_solutions(b_max: int, c_max: int, digits: int = 0) -> list[So
     more than digits decimal digits, raising OversizedValue naming it as
     "solutions[i].x" or ".y", before any tuple is built.  As
     x = y/(b+c) <= v, w < y = b^c c^b, the row's first value past the limit
-    is x or y, and y is built only past its bit-length bound:
-    c bitlen(b) + b bitlen(c) <= 3 digits gives y < 2^(3 digits) < 10^digits.
+    is x or y, and y is built only past its bit-length bound (_y_exceeds).
+    y grows with b and c, so a box whose corner y is short has no row to check.
     """
     check_search_box(b_max, c_max)
-    # a box within the bound has no row to check
-    sized = digits and c_max * b_max.bit_length() + b_max * c_max.bit_length() > 3 * digits
+    sized = digits and _y_exceeds(b_max, c_max, digits)
     pairs = []
     for b in range(1, b_max + 1):
         for c in range(1, c_max + 1):
             if _family_is_integral(b, c):
-                if sized and c * b.bit_length() + b * c.bit_length() > 3 * digits:
-                    y, ten = b**c * c**b, 10**digits
-                    if y >= ten:
-                        name = "x" if y // (b + c) >= ten else "y"
-                        raise OversizedValue(
-                            f"solutions[{len(pairs)}].{name} has more than {digits} decimal digits"
-                        )
+                if sized and _y_exceeds(b, c, digits):
+                    name = "x" if exceeds_digits(b**c * c**b // (b + c), digits) else "y"
+                    raise OversizedValue(f"solutions[{len(pairs)}].{name}", digits)
                 pairs.append((b, c))
     fac = functools.cache(factorize)
     rows = []

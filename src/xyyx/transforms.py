@@ -24,7 +24,7 @@ from functools import reduce
 from mpmath import iv, mp
 
 from .errors import OversizedValue, PointBudgetExceeded
-from .exact import check_precision, digit_limit, iv_precision, log2_bounds, log_interval
+from .exact import check_precision, digit_limit, exceeds_digits, iv_precision, log2_bounds, log_interval
 from .solutions import (
     ScalarIdentity,
     SolutionTuple,
@@ -32,7 +32,6 @@ from .solutions import (
     _side,
     _terms,
     euler_solution,
-    first_oversized_member,
     general_solution,
 )
 from .vpv import (
@@ -129,11 +128,10 @@ def quad_from_family(a: Fraction, b: Fraction, c: Fraction) -> TransformInstance
     """Quad instance from the (a, b, c) solution family.
 
     Requires the underlying tuple to be rational-valued with every member
-    above 1/2, so that each mapped parameter lands inside (-1, 1).  With
-    digits = digit_limit(), a tuple with a member of more than 3 digits bits
-    is first decided on its exponent vectors (_refuse_early), so that a
-    member at or below 1/2, or a parameter of more than digits decimal
-    digits, is refused before it is multiplied out.
+    above 1/2, so that each mapped parameter lands inside (-1, 1).  A member
+    at or below 1/2, or a parameter that exceeds_digits at digit_limit(), is
+    refused on the exponent vectors (_refuse_early), before a long member is
+    multiplied out.
     """
     t = general_solution(a, b, c)
     if t.is_rational:
@@ -145,36 +143,34 @@ def _refuse_early(t: SolutionTuple, digits: int) -> None:
     """Raise what _instance, and then printing the parameters, would raise on t, where
     the members' exponent vectors make it sure; otherwise return.
 
-    Each member u = n/d in lowest terms has 2^lo <= max(n, d) <= 2^hi
-    (log2_bounds); a tuple whose members all have hi <= 3 digits returns at
-    once.  The first u <= 1/2, in order x, y, v, w, maps outside (-1, 1) and
-    raises check_unit's DomainViolation; it is compared with 1/2 exactly when
-    hi <= 3 digits, by log_interval otherwise.  With every u > 1/2, the
-    parameter (n - d)/n has the larger term n > d/2, so n >= 2^(lo - 1), and
-    n <= 2^hi: first_oversized_member's answer for the members holds for the
-    parameters, as 2^(4 digits - 1) >= 10^digits for digits >= 2
-    (digit_limit() is at least 640).  For u <= 1/2 the larger term
-    is d - n >= d/2 >= 2^(lo - 1) in the same way.
+    A member u = n/d in lowest terms, 2^lo <= max(n, d) <= 2^hi
+    (log2_bounds), maps to the parameter (n - d)/n, whose larger term, n >=
+    d/2 for u > 1/2 and d - n >= d/2 otherwise, lies in [2^(lo - 1), 2^hi].
+    exceeds_digits answers from these bounds alone, and a tuple they find all
+    short returns at once.  A parameter they do not find long is built from
+    its member, of hi <= 2 lo <= 8 digits bits, and checked as _instance would.
+    A long one is compared with 1/2 by log_interval: below it is check_unit's
+    refusal of a long value, and too close to tell leaves t to the full
+    computation.  With every u > 1/2, the first long parameter is refused.
     """
-    bounds = [log2_bounds(u) for u in t.values()]
-    if all(hi <= 3 * digits for _, hi in bounds):
+    verdicts = [exceeds_digits(None, digits, (lo - 1, hi)) for lo, hi in map(log2_bounds, t.values())]
+    if all(long is False for long in verdicts):
         return
-    for name, u, (lo, hi) in zip("XYVW", t.values(), bounds):
-        if hi > 3 * digits:
+    oversized = None
+    for name, u, long in zip("XYVW", t.values(), verdicts):
+        if long:
             with iv_precision(128):
                 log_2u = log_interval(u) + iv.log(2)
-            if log_2u.a > 0:
-                continue
-            if log_2u.b >= 0:  # too close to 1/2 to tell
-                return
-            if lo >= 4 * digits:
+            if log_2u.b < 0:
                 raise unit_violation(name, digits)
-        q = u.to_fraction()
-        if 2 * q <= 1:
-            check_unit(name, (q - 1) / q)  # raises, as (q - 1)/q <= -1
-    oversized = first_oversized_member(t, digits)
+            if log_2u.a <= 0:  # too close to 1/2 to tell
+                return
+        else:
+            long = exceeds_digits(check_unit(name, 1 - 1 / u.to_fraction()), digits)
+        if long and not oversized:
+            oversized = name
     if oversized:
-        raise OversizedValue(f"parameters.{oversized.upper()} has more than {digits} decimal digits")
+        raise OversizedValue(f"parameters.{oversized}", digits)
 
 
 def manual_quad(X: Fraction, Y: Fraction, V: Fraction, W: Fraction) -> TransformInstance:

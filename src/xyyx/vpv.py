@@ -43,7 +43,7 @@ from itertools import compress
 
 from mpmath import iv, mp
 
-from .errors import DomainViolation
+from .errors import DomainViolation, OversizedValue
 from .exact import check_precision, digit_limit, exceeds_digits, iv_precision
 
 # Extra working precision; results are returned carrying these guard bits so
@@ -88,16 +88,15 @@ def check_unit(name: str, q: Fraction) -> Fraction:
     """
     q = Fraction(q)
     if abs(q) >= 1:
-        limit = digit_limit()
-        if exceeds_digits(q.numerator, limit) or exceeds_digits(q.denominator, limit):
-            raise unit_violation(name, limit)
+        if exceeds_digits(q, digit_limit()):
+            raise unit_violation(name, digit_limit())
         raise DomainViolation(f"|{name}| must be < 1, got {name} = {q}")
     return q
 
 
 def unit_violation(name: str, digits: int) -> DomainViolation:
     """check_unit's refusal of a parameter name with more than digits decimal digits."""
-    return DomainViolation(f"|{name}| must be < 1, got {name} = a value that has more than {digits} decimal digits")
+    return DomainViolation(f"|{name}| must be < 1, got {name} = {OversizedValue('a value that', digits)}")
 
 
 def check_box(Nj: int, Nk: int) -> None:

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from collections import Counter
 from decimal import Decimal, getcontext
 from fractions import Fraction as F
 
@@ -458,18 +459,48 @@ class TestDigitLimit:
         assert sys.int_info.default_max_str_digits == 4300
 
     @pytest.mark.parametrize("limit", [640, 641, 4300])
-    def test_exceeds_digits_is_the_interpreters_refusal(self, limit):
+    def test_exceeds_digits_is_the_interpreters_refusal(self, limit, monkeypatch):
         ten = 10**limit
         cases = [0, 1, -7, ten // 10, ten - 1, ten, ten + 1, -(ten - 1), -ten, 2 ** (3 * limit), 2 ** (4 * limit), 3**5000]
+        # the long term in the numerator, then in the denominator; 3 divides ten - 1
+        cases += [F(ten - 1, 2), F(ten, 3), F(-ten - 1, 3), F(2 ** (3 * limit), 3), F(3**5000, 2)]
+        cases += [F(3, ten - 1), F(7, ten), F(-1, ten + 1), F(ten - 1, ten), F(1, 2 ** (4 * limit))]
+        # 2^e 3^f has log2_bounds (e + f, 2 (e + f)), which tell short from long
+        # for e + f <= 3 limit / 2 and e + f >= 4 limit, and cannot tell near 10^limit
+        products = [ONE, ppp_from({2: 3 * limit // 2}), ppp_from({2: 4 * limit}), ppp_from({3: -4 * limit})]
+        for f in (0, 1, limit // 2, limit):
+            e = (ten // 3**f).bit_length() - 1  # 2^e 3^f < 10^limit < 2^(e + 2) 3^f
+            for k in (e, e + 1, e + 2):
+                u = ppp_from({2: k, 3: f})
+                products += [u, u**-1, ppp_from({2: k, 3: -f - 1})]
+        to_fraction = PPP.to_fraction
+        calls = []
+        monkeypatch.setattr(PPP, "to_fraction", lambda u: calls.append(u) or to_fraction(u))
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(limit)
         try:
-            for n in cases:
+            for i, value in enumerate(cases + products):
+                calls.clear()
+                term = to_fraction(value) if isinstance(value, PPP) else value
                 try:
-                    str(n)
+                    str(term)
                     refused = False
                 except ValueError:
                     refused = True
-                assert exceeds_digits(n, limit) is refused, (limit, n.bit_length())
+                assert exceeds_digits(value, limit) is refused, (limit, i)
+                if isinstance(value, PPP):
+                    # to_fraction runs only where the bounds cannot tell, and so does the build
+                    lo, hi = exact.log2_bounds(value)
+                    assert bool(calls) is (3 * limit < hi and lo < 4 * limit), (limit, value)
+                    assert exceeds_digits(None, limit, (lo, hi)) is (None if calls else refused), (limit, value)
+                    built = []
+                    assert exceeds_digits(lambda: built.append(term) or term, limit, (lo, hi)) is refused
+                    assert bool(built) is bool(calls), (limit, value)
         finally:
             sys.set_int_max_str_digits(saved)
+        refusals = Counter()
+        for u in products:
+            lo, hi = exact.log2_bounds(u)
+            refusals[exceeds_digits(None, limit, (lo, hi)), exceeds_digits(u, limit)] += 1
+        # short and long by the bounds alone, and both answers where they cannot tell
+        assert set(refusals) == {(False, False), (True, True), (None, False), (None, True)}, refusals
