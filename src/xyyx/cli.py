@@ -53,14 +53,15 @@ from .exact import (
 )
 from .solutions import (
     _euler_verdict,
+    _search_rows,
+    _triviality,
     classify_triviality,
     euler_solution,
     general_solution,
-    manual_tuple,
     numeric_verify,
     quad_identity,
     rational_family,
-    search_integer_solutions,
+    verify_fractions,
     verify_product_equation,
 )
 from .transforms import (
@@ -303,12 +304,7 @@ def cmd_euler(args) -> dict:
     return _result("euler", {"n_max": args.n_max}, {"solutions": rows})
 
 
-def _tuple_payload(t, verified: bool, mode: str) -> dict:
-    verdict = classify_triviality(t)
-    if t.is_rational:
-        values = t.as_fractions()
-    else:
-        values = [u.to_fraction() if u.is_rational else u for u in t.values()]
+def _tuple_payload(values, verdict, verified: bool, mode: str) -> dict:
     return {
         **dict(zip("xyvw", values)),
         "verified": verified,
@@ -330,19 +326,18 @@ def cmd_family(args) -> dict:
         for name, u in zip("xyvw", t.values()):  # _render's error, before anything is multiplied out
             if exceeds_digits(u, digit_limit()):
                 raise _oversized(name)
-        payload = _tuple_payload(t, verify_product_equation(t), "exact")
+        verified, mode = verify_product_equation(t), "exact"
+        values = t.as_fractions()
     else:
-        ok, _ = numeric_verify(t, args.precision)
-        payload = _tuple_payload(t, ok, "numeric")
-    return _result("family", inputs, payload)
+        verified, mode = numeric_verify(t, args.precision).ok, "numeric"
+        values = [u.to_fraction() if u.is_rational else u for u in t.values()]
+    return _result("family", inputs, _tuple_payload(values, classify_triviality(t), verified, mode))
 
 
 def cmd_verify(args) -> dict:
     vals = [parse_rational(s) for s in (args.x, args.y, args.v, args.w)]
-    t = manual_tuple(*vals)
-    payload = _tuple_payload(t, verify_product_equation(t), "exact")
-    inputs = dict(zip("xyvw", vals))
-    return _result("verify", inputs, payload)
+    payload = _tuple_payload(vals, _triviality(vals, 1), verify_fractions(*vals), "exact")
+    return _result("verify", dict(zip("xyvw", vals)), payload)
 
 
 def cmd_digits(args) -> dict:
@@ -446,21 +441,14 @@ def cmd_transform(args) -> dict:
 
 
 def cmd_search(args) -> dict:
-    try:  # the first row past the digit limit is refused by the scan, before any tuple is built
-        found = search_integer_solutions(args.b_max, args.c_max, digit_limit())
+    try:  # the first row past the digit limit is refused by the scan, before any row is built
+        found = _search_rows(args.b_max, args.c_max, digit_limit())
     except OversizedValue as exc:
         raise _oversized(exc.what) from None
-    rows = []
-    for t in found:
-        b, c = t.params
-        rows.append(
-            {
-                "b": int(b),
-                "c": int(c),
-                **dict(zip("xyvw", t.as_fractions())),
-                "verified": verify_product_equation(t),
-            }
-        )
+    rows = [
+        {"b": b, "c": c, **dict(zip("xyvw", values)), "verified": verified}
+        for b, c, values, verified in found
+    ]
     return _result(
         "search", {"b_max": args.b_max, "c_max": args.c_max}, {"solutions": rows}
     )

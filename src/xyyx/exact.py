@@ -102,7 +102,7 @@ def _brent_rho(n: int, rng: random.Random, steps: int) -> tuple[int, int]:
 
 
 def _strip(m: int, p: int) -> tuple[int, int]:
-    """m with every factor p divided out, and the exponent of p in m.
+    """m with every factor p divided out, and the exponent of p in m; p >= 2 need not be prime.
 
     Divides by p once, strips p^2 the same way, then divides by p once
     more if it can: exponent e costs about 2 log2(e) divisions, not e.
@@ -253,6 +253,12 @@ def factorize(m: int) -> list[tuple[int, int]]:
     return sorted(out.items())
 
 
+def check_positive(q: int | Fraction) -> None:
+    """Refuse a value at or below 0, as every exact constructor of a positive value does."""
+    if q <= 0:
+        raise NonPositiveParameter(f"value must be positive, got {q}")
+
+
 def _exponent(q: int | Fraction) -> int | Fraction:
     """The canonical form of a nonzero exponent: an int if integral, else a Fraction."""
     return q.numerator if q.denominator == 1 else q
@@ -303,15 +309,13 @@ class PrimePowerProduct:
 
     @classmethod
     def from_int(cls, n: int) -> "PrimePowerProduct":
-        if n < 1:
-            raise NonPositiveParameter(f"value must be positive, got {n}")
+        check_positive(n)
         return cls._trusted(tuple(factorize(n)))
 
     @classmethod
     def from_fraction(cls, q: Fraction) -> "PrimePowerProduct":
         q = Fraction(q)
-        if q <= 0:
-            raise NonPositiveParameter(f"value must be positive, got {q}")
+        check_positive(q)
         exps = dict(factorize(q.numerator))
         for p, e in factorize(q.denominator):  # coprime to the numerator
             exps[p] = -e

@@ -3,13 +3,23 @@
 Equality of positive reals built from prime powers is decided on exponent
 vectors: x^y y^x = v^w w^v holds iff y*vec(x) + x*vec(y) = w*vec(v) + v*vec(w),
 because logarithms of distinct primes are linearly independent over Q.
+
+The vectors need not be taken over primes.  Pairwise-coprime integers
+q_1, ..., q_k > 1 are multiplicatively independent: if prod q_i^(c_i) = 1
+with integer c_i, then a prime p of q_i divides no other q_j, so
+c_i v_p(q_i) = 0 and c_i = 0.  Their logarithms are then linearly
+independent over Q too, and vectors over any such base decide the same
+equality.  verify_fractions takes its base from the four rationals
+themselves by factor refinement (_coprime_base; Bach, Driscoll and Shallit,
+"Factor refinement", J. Algorithms 15, 1993; Bernstein, "Factoring into
+coprimes in essentially linear time", J. Algorithms 54, 2005), so it needs
+gcds and exact divisions only: no primality test, no rho and no budget.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -27,6 +37,8 @@ from .exact import (
     ONE,
     PrimePowerProduct,
     _exponent,
+    _strip,
+    check_positive,
     check_precision,
     digit_limit,
     exceeds_digits,
@@ -223,10 +235,47 @@ def verify_product_equation(t: SolutionTuple) -> bool:
     return _cancels([(y, t.x.factors), (x, t.y.factors)], [(w, t.v.factors), (v, t.w.factors)])
 
 
+def _coprime_base(numbers: set[int]) -> list[int]:
+    """A pairwise-coprime base of numbers: each is a product of powers of its elements.
+
+    Factor refinement: while a number shares a gcd g > 1 with an element of
+    the base, both are replaced by g and their cofactors, and 1s are
+    dropped.  Every power of g is stripped from both at once, by repeated
+    squaring (exact._strip), so that a power such as 1370^1369 is not
+    refined one factor of 1370 at a time.  g times the two cofactors is at
+    most the product of the pair over g, so the refinement ends.
+    """
+    base: list[int] = []
+    todo = [n for n in numbers if n > 1]
+    while todo:
+        n = todo.pop()
+        for i, q in enumerate(base):
+            g = math.gcd(n, q)
+            if g > 1:
+                del base[i]
+                todo += [m for m in (g, _strip(n, g)[0], _strip(q, g)[0]) if m > 1]
+                break
+        else:
+            base.append(n)
+    return base
+
+
 def verify_fractions(x: Fraction, y: Fraction, v: Fraction, w: Fraction) -> bool:
-    """Exact check of x^y y^x = v^w w^v for four positive rationals."""
-    x, y, v, w = map(Fraction, (x, y, v, w))
-    return _cancels(*_terms([[(x, y), (y, x)], [(v, w), (w, v)]]))
+    """Exact check of x^y y^x = v^w w^v for four positive rationals, on a coprime base.
+
+    The vectors are taken over the _coprime_base of the eight numerators and
+    denominators (module docstring), so no number is factored.  A value at
+    or below 0 is refused first, in x, y, v, w order.
+    """
+    values = [Fraction(q) for q in (x, y, v, w)]
+    for q in values:
+        check_positive(q)
+    base = _coprime_base({m for q in values for m in (q.numerator, q.denominator)})
+    vx, vy, vv, vw = (
+        [(b, _strip(q.numerator, b)[1] - _strip(q.denominator, b)[1]) for b in base] for q in values
+    )
+    x, y, v, w = values
+    return _cancels([(y, vx), (x, vy)], [(w, vv), (v, vw)])
 
 
 def manual_tuple(x: Fraction, y: Fraction, v: Fraction, w: Fraction) -> SolutionTuple:
@@ -279,9 +328,15 @@ def classify_triviality(t: SolutionTuple) -> TrivialityVerdict:
     Borderline cases like (1/2, 1/2, 1/2, 1) land on the trivial side here
     via the contains-one rule.
     """
-    if Counter((t.x, t.y)) == Counter((t.v, t.w)):
+    return _triviality(t.values(), ONE)
+
+
+def _triviality(values: tuple, one) -> TrivialityVerdict:
+    """classify_triviality's two rules on four values (x, y, v, w); one is the value 1 in their type."""
+    x, y, v, w = values
+    if (x == v and y == w) or (x == w and y == v):
         return TrivialityVerdict(True, "multiset-equal")
-    if ONE in t.values():
+    if one in values:
         return TrivialityVerdict(True, "contains-one")
     return TrivialityVerdict(False, "none")
 
@@ -311,28 +366,19 @@ def check_search_box(b_max: int, c_max: int) -> None:
         )
 
 
-def search_integer_solutions(b_max: int, c_max: int, digits: int = 0) -> list[SolutionTuple]:
-    """All-integer family tuples with 1 <= b <= b_max, 1 <= c <= c_max.
+def _integral_pairs(b_max: int, c_max: int, digits: int) -> list[tuple[int, int]]:
+    """The (b, c) of the integral rows of the box, in (b, c)-lexicographic order, from one scan.
 
-    The family value x = b^c c^b/(b+c) is integral iff (b+c) divides b^c c^b;
-    the other three members are then integer multiples of x.  Results come in
-    (b, c)-lexicographic order.
-
-    The divisibility is decided without building b^c c^b: it holds iff every
-    prime of b+c divides g = gcd(b, c).  A prime p of b+c dividing b^c c^b
-    divides b or c, and so both, as p | b+c.  Conversely, if p | g, then
-    v_p(b^c c^b) >= b+c > v_p(b+c).  As v_p(b+c) < bitlen(b+c), the test is
-    g^bitlen(b+c) = 0 (mod b+c).
-
-    Each integer among the b, c and b+c of the rows found is factored once,
-    when a row first needs it.  Each row carries its values, built from
-    b and c as y = b^c c^b, x = y // (b+c), v = b x and w = c x, as its
-    as_fractions cache, so no member is multiplied back out.  A box of more
-    than SEARCH_BUDGET pairs is refused (check_search_box).
+    The divisibility of b^c c^b by b+c is decided without building b^c c^b:
+    it holds iff every prime of b+c divides g = gcd(b, c).  A prime p of
+    b+c dividing b^c c^b divides b or c, and so both, as p | b+c.
+    Conversely, if p | g, then v_p(b^c c^b) >= b+c > v_p(b+c).  As
+    v_p(b+c) < bitlen(b+c), the test is g^bitlen(b+c) = 0 (mod b+c).  A box
+    of more than SEARCH_BUDGET pairs is refused (check_search_box).
 
     With digits >= 1, the same scan refuses the first row with a value of
     more than digits decimal digits, raising OversizedValue naming it as
-    "solutions[i].x" or ".y", before any tuple is built.  As
+    "solutions[i].x" or ".y", before any row is built.  As
     x = y/(b+c) <= v, w < y = b^c c^b, the row's first value past the limit
     is x or y, and y is built only past its bit-length bound (_y_exceeds).
     y grows with b and c, so a box whose corner y is short has no row to check.
@@ -347,11 +393,69 @@ def search_integer_solutions(b_max: int, c_max: int, digits: int = 0) -> list[So
                     name = "x" if exceeds_digits(b**c * c**b // (b + c), digits) else "y"
                     raise OversizedValue(f"solutions[{len(pairs)}].{name}", digits)
                 pairs.append((b, c))
+    return pairs
+
+
+def _row_values(b: int, c: int) -> tuple[int, int, int, int]:
+    """The integral row's (x, y, v, w) from b and c: y = b^c c^b, x = y // (b+c), v = b x and w = c x."""
+    y = b**c * c**b
+    x = y // (b + c)
+    return x, y, b * x, c * x
+
+
+def search_integer_solutions(b_max: int, c_max: int, digits: int = 0) -> list[SolutionTuple]:
+    """All-integer family tuples with 1 <= b <= b_max, 1 <= c <= c_max.
+
+    The family value x = b^c c^b/(b+c) is integral iff (b+c) divides b^c c^b;
+    the other three members are then integer multiples of x.  Results come in
+    (b, c)-lexicographic order.  The box is scanned once, by a gcd test per
+    pair (_integral_pairs), which also refuses a box of more than
+    SEARCH_BUDGET pairs and, with digits >= 1, the first row with a value of
+    more than digits decimal digits, before any tuple is built.
+
+    Each integer among the b, c and b+c of the rows found is factored once,
+    when a row first needs it.  Each row carries its values, built from b
+    and c (_row_values), as its as_fractions cache, so no member is
+    multiplied back out.
+    """
     fac = functools.cache(factorize)
+    return [
+        _with_fractions(
+            _family(b + c, b, c, fac(b + c), fac(b), fac(c), (Fraction(b), Fraction(c))),
+            tuple(map(Fraction, _row_values(b, c))),
+        )
+        for b, c in _integral_pairs(b_max, c_max, digits)
+    ]
+
+
+def _row_verdict(b: int, c: int, values: tuple[int, int, int, int], factor) -> bool:
+    """verify_product_equation for the search row (b, c) with int values (x, y, v, w), on its construction.
+
+    With a = b + c, vec(x) = c vec(b) + b vec(c) - vec(a), and y = a x,
+    v = b x and w = c x add vec(a), vec(b) and vec(c) to it.  vec(x) is a
+    concatenated (p, e) list of factor(b), factor(c) and factor(a), a
+    factorize; no map is merged or sorted.  _cancels sums
+    y vec(x) + x vec(y) - w vec(v) - v vec(w), which for any four
+    multipliers is (x + y - v - w) vec(x) + x vec(a) - w vec(b) - v vec(c),
+    so vec(x) is walked once.  The values, the ones the row prints, stay
+    the multipliers, so a wrong value gives False.
+    """
+    fa, fb, fc = factor(b + c), factor(b), factor(c)
+    vx = [(p, c * e) for p, e in fb] + [(p, b * e) for p, e in fc] + [(p, -e) for p, e in fa]
+    x, y, v, w = values
+    return _cancels([(x + y - v - w, vx), (x, fa)], [(w, fb), (v, fc)])
+
+
+def _search_rows(b_max: int, c_max: int, digits: int) -> list[tuple[int, int, tuple[Fraction, ...], bool]]:
+    """(b, c, values, verified) for each tuple of search_integer_solutions(b_max, c_max, digits).
+
+    The same one scan and the same values, as Fractions, with no tuple
+    built: each row is decided by _row_verdict, each of b, c and b + c
+    factored once.
+    """
+    factor = functools.cache(factorize)
     rows = []
-    for b, c in pairs:
-        t = _family(b + c, b, c, fac(b + c), fac(b), fac(c), (Fraction(b), Fraction(c)))
-        y = b**c * c**b
-        x = y // (b + c)
-        rows.append(_with_fractions(t, (Fraction(x), Fraction(y), Fraction(b * x), Fraction(c * x))))
+    for b, c in _integral_pairs(b_max, c_max, digits):
+        values = _row_values(b, c)
+        rows.append((b, c, tuple(map(Fraction, values)), _row_verdict(b, c, values, factor)))
     return rows

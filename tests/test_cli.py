@@ -203,8 +203,15 @@ class TestVerify:
         assert doc["message"] == "value must be positive, got -1/2"
 
     def test_unfactorable_input_is_error_record(self, capsys):
+        # verify factors nothing, so the semiprime rho cannot split gets a verdict;
+        # family --a still factors a, and refuses it
         t0 = time.perf_counter()
         code, doc = run_json(capsys, "verify", HARD_SEMIPRIME, "1", "1", HARD_SEMIPRIME)
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 0 and doc["status"] == "ok"
+        assert doc["results"]["verified"] is True
+        t0 = time.perf_counter()
+        code, doc = run_json(capsys, "family", "1", "1", "--a", HARD_SEMIPRIME)
         assert time.perf_counter() - t0 < 5.0
         assert code == 1 and doc["status"] == "error"
         assert f"no factor of {HARD_SEMIPRIME}" in doc["message"]

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import random
 import re
 import sys
@@ -180,7 +181,7 @@ class TestVerifyProductEquation:
         assert verify_fractions(F(2), F(3), F(2), F(4)) is False
 
     def test_rejects_nonpositive(self):
-        # one check, in PrimePowerProduct.from_fraction, for every exact input
+        # one check, exact.check_positive, for every exact input
         for vals in ((F(-1, 2), F(2), F(3), F(4)), (F(2), F(3), F(4), F(0))):
             with pytest.raises(NonPositiveParameter, match="value must be positive, got"):
                 verify_fractions(*vals)
@@ -291,6 +292,19 @@ class TestClassifyTriviality:
             vals = [F(rng.randrange(1, 9), rng.randrange(1, 9)) for _ in range(4)]
             v = classify_triviality(manual_tuple(*vals))
             assert (v.reason == "none") == (not v.trivial)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([F(1), F(2), F(1, 2), F(4), F(3, 7)]), min_size=4, max_size=4),
+        st.permutations(range(4)),
+    )
+    def test_fractions_and_tuples_get_one_verdict(self, vals, order):
+        # small draws give 1s and repeats; the verify command reads the Fractions
+        x, y, v, w = vals = tuple(vals[i] for i in order)
+        verdict = classify_triviality(manual_tuple(*vals))
+        assert solutions._triviality(vals, 1) == verdict
+        assert solutions._triviality((y, x, w, v), 1) == verdict
+        assert solutions._triviality((v, w, x, y), 1) == verdict
 
 
 class TestSearchIntegerSolutions:
@@ -589,6 +603,46 @@ class TestRowsFromTheirConstruction:
             assert not solutions._euler_verdict(n, x, y + 1, solutions.factorize), n
             assert not solutions._euler_verdict(n, x, x, solutions.factorize), n
 
+    def test_search_rows_are_the_tuples_rows(self):
+        rows = solutions._search_rows(60, 60, 4300)
+        tuples = search_integer_solutions(60, 60)
+        assert len(rows) == 176
+        assert rows == [(int(b), int(c), t.as_fractions(), verify_product_equation(t)) for t, (b, c) in
+                        ((t, t.params) for t in tuples)]
+        assert all(verified for *_, verified in rows)
+
+    def test_search_row_verdict_catches_a_wrong_value(self):
+        # the printed values are the multipliers, so one wrong value gives False
+        for b, c in solutions._integral_pairs(60, 60, 0):
+            values = solutions._row_values(b, c)
+            assert solutions._row_verdict(b, c, values, solutions.factorize), (b, c)
+            for i in range(4):
+                for delta in (1, -1, values[i]):
+                    wrong = list(values)
+                    wrong[i] += delta
+                    assert not solutions._row_verdict(b, c, tuple(wrong), solutions.factorize), (b, c, i, delta)
+
+    def test_search_and_verify_build_no_map_and_factor_nothing(self, monkeypatch, capsys):
+        maps = []
+        from_map = PrimePowerProduct._from_map
+        counted = classmethod(lambda cls, exps: maps.append(exps) or from_map(exps))
+        monkeypatch.setattr(PrimePowerProduct, "_from_map", counted)
+        factored = self.counted(monkeypatch, (cli, solutions, exact), "factorize")
+        assert PrimePowerProduct.from_fraction(F(2, 3)) and len(maps) == 1 and factored  # the counters are in place
+        maps.clear()
+        factored.clear()
+        assert cli.main(["search", "60", "60", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["results"]["solutions"]) == 176
+        assert maps == []
+        assert set(factored) == {n for b, c in solutions._integral_pairs(60, 60, 0) for n in (b, c, b + c)}
+        factored.clear()
+        x, y = (str(q) for q in euler_solution(200))
+        m = str(2**607 - 1)
+        for argv in (["1/3", "1/6", "1/2", "4/3"], ["2", "3", "2", "4"], [x, y, y, x], [m, "2", "2", "9"]):
+            assert cli.main(["verify", "--json", *argv]) == 0
+            capsys.readouterr()
+        assert not factored and maps == []
+
     def test_search_rows_carry_their_members_values(self):
         found = search_integer_solutions(200, 200)
         assert len(found) == 918
@@ -726,3 +780,78 @@ class TestDifferenceVerdicts:
         assert cli.main(["euler", "60", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["solutions"][59]["verified"] is True
         assert not calls
+
+
+def factored_verdict(x: F, y: F, v: F, w: F) -> bool:
+    """x^y y^x = v^w w^v decided by _cancels on the four values' prime factorizations."""
+    vx, vy, vv, vw = (PrimePowerProduct.from_fraction(q).factors for q in (x, y, v, w))
+    return solutions._cancels([(y, vx), (x, vy)], [(w, vv), (v, vw)])
+
+
+def euler_quad(n: int, m: int, order: int) -> tuple[tuple[F, F, F, F], bool]:
+    """A quad of the Euler pairs (x_n, y_n) and (x_m, y_m), and whether it holds."""
+    (x, y), (u, t) = euler_solution(n), euler_solution(m)
+    return [((x, y, y, x), True), ((x, y, x, y), True), ((x, y, u, t), n == m)][order]
+
+
+RATIONAL_GENERAL = [t.as_fractions() for t in (general_solution(*abc) for abc in FAMILY_A_GRID) if t.is_rational]
+
+# (quad, whether it holds)
+quads = st.one_of(
+    st.builds(lambda b, c: (rational_family(b, c).as_fractions(), True), st.integers(1, 12), st.integers(1, 12)),
+    st.sampled_from([(q, True) for q in RATIONAL_GENERAL]),
+    st.builds(euler_quad, st.integers(1, 80), st.integers(1, 80), st.integers(0, 2)),
+)
+
+
+class TestCoprimeBase:
+    """verify_fractions decides on a pairwise-coprime base exactly as prime factorizations do."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.integers(1, 10**4) | st.builds(pow, st.integers(2, 40), st.integers(1, 60)), max_size=8))
+    def test_base_is_pairwise_coprime_and_refines_every_number(self, numbers):
+        base = solutions._coprime_base(numbers)
+        assert all(q > 1 for q in base)
+        assert all(math.gcd(p, q) == 1 for i, p in enumerate(base) for q in base[:i])
+        for n in numbers:
+            for q in base:
+                n = exact._strip(n, q)[0]
+            assert n == 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(quads, st.permutations(range(2)), st.booleans(), st.integers(0, 3),
+           st.sampled_from([F(1), F(2), F(1, 2), F(2, 3), F(7)]))
+    def test_verdict_is_the_factored_verdict(self, quad, order, swap, i, bump):
+        # a bump multiplies one member, so that the reference can factor it;
+        # adding to an Euler member would leave numbers rho may not split
+        (x, y, v, w), holds = quad
+        left, right = [(x, y)[j] for j in order], [v, w]
+        vals = right + left if swap else left + right
+        vals[i] *= bump
+        verdict = verify_fractions(*vals)
+        assert verdict == factored_verdict(*vals)
+        if bump == 1:
+            assert verdict == holds
+
+    def test_bumped_family_tuples(self):
+        # the bumped tuples of TestDifferenceVerdicts, and one per member
+        for b in range(1, 9):
+            for c in range(1, 9):
+                vals = list(rational_family(b, c).as_fractions())
+                for i in range(4):
+                    wrong = vals[:i] + [vals[i] + 1] + vals[i + 1:]
+                    assert verify_fractions(*wrong) == factored_verdict(*wrong), (b, c, i)
+
+    def test_wide_primes_and_unsplit_semiprimes_take_gcds_only(self):
+        semiprime = 10000000000000000051 * 30000000000000000041
+        for m in (2**4423 - 1, semiprime):
+            assert verify_fractions(F(m), F(2), F(2), F(m)) is True
+            assert verify_fractions(F(m), F(1), F(1), F(m)) is True
+            assert verify_fractions(F(m), F(2), F(2), F(m + 2)) is False
+            assert verify_fractions(F(m), F(1), F(1), F(1)) is False
+
+    def test_nonpositive_values_are_refused_first_in_order(self):
+        # 0 would otherwise enter the refinement, whose gcds with it never end
+        for vals, shown in (((F(0), F(-1), F(2), F(3)), "0"), ((F(2), F(3), F(-1, 2), F(0)), "-1/2")):
+            with pytest.raises(NonPositiveParameter, match=f"value must be positive, got {shown}$"):
+                verify_fractions(*vals)
