@@ -15,13 +15,14 @@ Every command emits a result record {command, inputs, results, status,
 message}; --json prints it as a single JSON document, otherwise as aligned
 human-readable lines with the same numeric content.  Exit code is 0 unless
 status is "error".  Rationals are read as "p/q" or "p" (no decimals).
-Handlers return the values they computed and main renders each record once:
-rationals and prime-power products as strings, high-precision reals in
-scientific decimal and as bit-exact hex floats, and a value past the
+Handlers return the values they computed and main renders each record once,
+to JSON text; plain mode is read back from it.  The text holds rationals
+and prime-power products as strings, and high-precision reals in scientific
+decimal and as bit-exact hex floats.  A value holding an int past the
 interpreter's int-to-str digit limit (4300 digits when that limit is off,
-exact.digit_limit) as an error naming its field.  Whether a value is past it
-is decided by exact.exceeds_digits, which the handlers also ask about a
-value before they build it.
+exact.digit_limit) gives instead an error naming its field.  Whether an int
+is past it is decided by exact.exceeds_digits, which the handlers also ask
+about a value before they build it.
 """
 
 from __future__ import annotations
@@ -144,67 +145,80 @@ class _Unprintable(Exception):
         self.path: list[str] = []
 
 
-def _leaf(value, limit: int):
-    """An int as itself, a Fraction or product as its string; limit is digit_limit().
+def _leaf(value, limit: int) -> str:
+    """The JSON text of an int, a Fraction or a product; limit is digit_limit().
 
-    An int or a Fraction term of more than limit digits is refused here, as
-    the interpreter refuses it at its own limit, and also when that limit is
-    off; ints are tried here, as json.dumps in emit would raise outside main's try.
+    Each int the text holds, the int itself, a Fraction's terms or a
+    product's primes and exponent terms, is refused past limit digits, as the
+    interpreter refuses it at its own limit, and also when that limit is off.
     """
     if isinstance(value, int):
+        if type(value) is bool:
+            return "true" if value else "false"
         if exceeds_digits(value, limit):
             raise _Unprintable
-        return value
+        return int.__repr__(value)
     try:
         text = str(value)
     except ValueError:  # past the interpreter's own limit
         raise _Unprintable from None
-    # with that limit off; a text of at most limit characters has no such term
-    if len(text) > limit and isinstance(value, Fraction) and exceeds_digits(value, limit):
-        raise _Unprintable
-    return text
+    # with that limit off; a text of at most limit characters holds no such int
+    if len(text) > limit:
+        terms = (value,) if isinstance(value, Fraction) else [t for factor in value.factors for t in factor]
+        if any(exceeds_digits(t, limit) for t in terms):
+            raise _Unprintable
+    return encode_basestring_ascii(text)
 
 
-def _render(value, precision_bits: int | None):
-    """The record form of a computed value; an mpf goes through render_real.
+def _render(value, precision_bits: int | None) -> str:
+    """A handler's record, rendered once, to JSON text; plain mode is read back from it.
 
-    The digit limit is read once per record, and a leaf's path is built only
-    when the leaf cannot be printed, as the OversizedValue naming it.
+    The text is what json.dumps(form, indent=2) writes of the record's form:
+    ints, Fractions and products as _leaf gives them, each mpf as the
+    {dec, hex} of one render_real call, Enum members as their values and an
+    EvalReport field by field at its own precision.  The digit limit is read
+    once per record, and a leaf's path is built only when the leaf cannot be
+    printed, as the OversizedValue naming it.
     """
+    limit = digit_limit()
     try:
-        return _form(value, precision_bits, digit_limit())
+        return _write(value, precision_bits, limit, "\n")
     except _Unprintable as exc:
-        raise OversizedValue("".join(reversed(exc.path)).lstrip("."), digit_limit()) from None
+        raise OversizedValue("".join(reversed(exc.path)).lstrip("."), limit) from None
 
 
-def _form(value, precision_bits: int | None, limit: int):
-    if isinstance(value, (int, Fraction, PrimePowerProduct)):  # a bool passes _leaf unchanged
+def _write(value, precision_bits: int | None, limit: int, newline: str) -> str:
+    """_render's text of value, newline being the line break and indent of value's own line."""
+    if isinstance(value, (int, Fraction, PrimePowerProduct)):  # a bool too
         return _leaf(value, limit)
     if isinstance(value, Enum):  # before str: Convention and Form subclass it
-        return value.value
-    if value is None or isinstance(value, str):
-        return value
-    if isinstance(value, EvalReport):  # field by field, at its own precision
+        value = value.value
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, mp.mpf):
+        value = render_real(value, precision_bits)
+    elif isinstance(value, EvalReport):  # field by field, at its own precision
         value, precision_bits = vars(value), value.precision_bits
+    inner = newline + "  "
     if isinstance(value, dict):
-        out = {}
+        items = []
         try:
             for k, v in value.items():
-                out[k] = _form(v, precision_bits, limit)
+                items.append(encode_basestring_ascii(k) + ": " + _write(v, precision_bits, limit, inner))
         except _Unprintable as exc:
             exc.path.append(f".{k}")
             raise
-        return out
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
         items = []
         try:
             for i, v in enumerate(value):
-                items.append(_form(v, precision_bits, limit))
+                items.append(_write(v, precision_bits, limit, inner))
         except _Unprintable as exc:
             exc.path.append(f"[{i}]")
             raise
-        return items
-    return render_real(value, precision_bits)
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    return json.dumps(value)  # None or a float
 
 
 def _flat(prefix: str, value, lines: list[str]) -> None:
@@ -224,51 +238,18 @@ def _flat(prefix: str, value, lines: list[str]) -> None:
         lines.append(f"{prefix} = {value}")
 
 
-# The text json.dumps gives a leaf of exactly these types; other leaves go through json.dumps.
-_JSON_LEAVES = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
+def emit(text: str, as_json: bool, code: int) -> int:
+    """Print a record's JSON text, or in plain mode the lines read back from it.
 
-
-def _json_text(value, newline: str = "\n") -> str:
-    """json.dumps(value, indent=2), with newline the line break and indent of
-    value's own line; dict keys must be strings.
-
-    json.dumps takes its pure-Python encoder whenever indent is set; this
-    writer gives the same text with a few calls per container.
+    The exit code is code, or 1 for a closed stdout.
     """
-    leaf = _JSON_LEAVES.get
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            encode_basestring_ascii(k) + ": " + (f(v) if (f := leaf(type(v))) else _json_text(v, inner))
-            for k, v in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f(v) if (f := leaf(type(v))) else _json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
-
-
-def emit(result: dict, as_json: bool) -> int:
-    """Print the record; exit code 1 for an error record or a closed stdout."""
-    if as_json:
-        text = _json_text(result)
-    else:
-        lines: list[str] = [f"command: {result['command']}  [{result['status']}]"]
-        if result["message"]:
-            lines.append(f"message: {result['message']}")
-        for k, v in result["inputs"].items():
-            lines.append(f"  input {k} = {v}")
-        _flat("", {k: v for k, v in result["results"].items()}, lines)
+    if not as_json:
+        record = json.loads(text)
+        lines = [f"command: {record['command']}  [{record['status']}]"]
+        if record["message"]:
+            lines.append(f"message: {record['message']}")
+        lines += [f"  input {k} = {v}" for k, v in record["inputs"].items()]
+        _flat("", record["results"], lines)
         text = "\n".join(lines)
     try:
         print(text)
@@ -279,7 +260,7 @@ def emit(result: dict, as_json: bool) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    return 0 if result["status"] != "error" else 1
+    return code
 
 
 def _result(command: str, inputs: dict, results: dict, status: str = "ok", message: str = "") -> dict:
@@ -560,15 +541,16 @@ def _env_precision() -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    code = 0
     try:
         if hasattr(args, "precision"):
             if args.precision is None:
                 args.precision = _env_precision()
             check_precision(args.precision)
-        result = _render(args.func(args), getattr(args, "precision", None))
+        text = _render(args.func(args), getattr(args, "precision", None))
     except ValueError as exc:  # every error class in errors.py is one
-        result = _result(args.command, {}, {}, status="error", message=str(exc))
-    return emit(result, args.json)
+        text, code = _render(_result(args.command, {}, {}, status="error", message=str(exc)), None), 1
+    return emit(text, args.json, code)
 
 
 if __name__ == "__main__":

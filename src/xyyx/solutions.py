@@ -77,8 +77,9 @@ class SolutionTuple:
     def as_fractions(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         fractions = self.__dict__.get("_fractions")
         if fractions is None:
-            if not self.is_rational:
-                raise NonRationalTuple(f"tuple has irrational members: {self}")
+            irrational = [name for name, u in zip("xyvw", self.values()) if not u.is_rational]
+            if irrational:  # named, not printed: a member's exponents may pass the digit limit
+                raise NonRationalTuple(f"tuple has irrational members: {', '.join(irrational)}")
             fractions = self.__dict__["_fractions"] = tuple(u.to_fraction() for u in self.values())
         return fractions
 

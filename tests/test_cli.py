@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xyyx.cli import _json_text, _render, build_parser, main, mpf_hex, parse_rational, render_real
+from xyyx.cli import _render, build_parser, main, mpf_hex, parse_rational, render_real
 from xyyx.errors import OversizedValue
 from xyyx.exact import PrimePowerProduct, digit_count
 from xyyx.solutions import general_solution, rational_family, search_integer_solutions
@@ -458,7 +458,7 @@ class TestOversizedValues:
 
     def test_render_tries_ints(self):
         limit = sys.get_int_max_str_digits()
-        assert _render({"results": {"n": 10 ** (limit - 1)}}, None) == {"results": {"n": 10 ** (limit - 1)}}
+        assert json.loads(_render({"results": {"n": 10 ** (limit - 1)}}, None)) == {"results": {"n": 10 ** (limit - 1)}}
         with pytest.raises(OversizedValue, match=rf"^results\.rows\[1\]\.n has more than {limit} "):
             _render({"results": {"rows": [{"n": 1}, {"n": 10**limit}]}}, None)
 
@@ -509,6 +509,10 @@ class TestDigitLimitOff:
             ("transform", "--abc", "10001/10000", "1", "1"),
             ("transform", "--abc", "3000001/1000000", "2", "2", "--truncation", "3000"),
             ("vpv-eval", "1/" + "7" * 4301, "1/2", "--truncation", "3"),
+            # b = c = 10^4299: x prints exponent terms of 4301 digits, and the
+            # quad's error names its irrational members instead of printing them
+            ("family", "1" + "0" * 4299, "1" + "0" * 4299, "--a", "1/2"),
+            ("transform", "--abc", "1/2", "1" + "0" * 4299, "1" + "0" * 4299),
         ],
     )
     def test_same_record_as_at_the_default_limit(self, capsys, argv):
@@ -824,7 +828,7 @@ class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     @given(JSON_RECORD)
     def test_nested_values(self, value):
-        assert _json_text(value) == json.dumps(value, indent=2)
+        assert _render(value, None) == json.dumps(value, indent=2)
 
 
 class TestOutputModes:
@@ -856,6 +860,16 @@ class TestOutputModes:
             expected = [f"  input {k} = {v}" for k, v in doc["inputs"].items()] + list(named_lines("", doc["results"]))
             assert set(expected) <= set(lines), argv
             assert set(samples) <= set(lines), argv
+
+    @pytest.mark.parametrize("argv", JSON_RECORDS, ids=" ".join)
+    def test_plain_mode_is_the_json_record_line_for_line(self, capsys, argv):
+        json_code, doc = run_json(capsys, *argv)
+        expected = [f"command: {doc['command']}  [{doc['status']}]"]
+        if doc["message"]:
+            expected.append(f"message: {doc['message']}")
+        expected += [f"  input {k} = {v}" for k, v in doc["inputs"].items()]
+        expected += named_lines("", doc["results"])
+        assert run(capsys, *argv) == (json_code, "\n".join(expected) + "\n")
 
     def test_env_precision_override(self, capsys, monkeypatch):
         monkeypatch.setenv("VPV_PRECISION_BITS", "128")
