@@ -15,6 +15,9 @@ Every command emits a result record {command, inputs, results, status,
 message}; --json prints it as a single JSON document, otherwise as aligned
 human-readable lines with the same numeric content.  Exit code is 0 unless
 status is "error".  Rationals are read as "p/q" or "p" (no decimals).
+An integer or rational argument with more digits than exact.digit_limit()
+gives an error naming it, not a usage error; any other argument that does
+not parse as its type stays a usage error.
 Handlers return the values they computed and main renders each record once,
 to JSON text; plain mode is read back from it.  The text holds rationals
 and prime-power products as strings, and high-precision reals in scientific
@@ -79,6 +82,7 @@ DEFAULT_PRECISION = 256
 DEFAULT_TRUNCATION = 400
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_INTEGER_RE = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")  # what int() reads
 
 
 def parse_rational(text: str) -> Fraction:
@@ -95,6 +99,25 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _integer(name: str):
+    """The argparse type of the integer argument name.
+
+    It gives an int, or for an integer of more than digit_limit() digits the
+    OversizedValue naming the argument, which main reports as an error
+    record, as parse_rational does a rational's terms.
+    """
+
+    def parse(text: str):
+        limit = digit_limit()
+        if len(text) > limit and _INTEGER_RE.fullmatch(text):
+            if len(text.strip().lstrip("+-").replace("_", "")) > limit:
+                return OversizedValue(f"the argument {name}", limit)
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in its usage errors
+    return parse
 
 
 def mpf_hex(x) -> str:
@@ -446,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     precision = argparse.ArgumentParser(add_help=False)
     precision.add_argument(
         "--precision",
-        type=int,
+        type=_integer("--precision"),
         default=None,  # None reads the environment on every call
         metavar="BITS",
         help=f"working precision in bits (default {PRECISION_ENV} or {DEFAULT_PRECISION})",
@@ -454,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     lattice = argparse.ArgumentParser(add_help=False)
     lattice.add_argument(
         "--truncation",
-        type=int,
+        type=_integer("--truncation"),
         default=DEFAULT_TRUNCATION,
         metavar="N",
         help=f"lattice box bound Nj = Nk = N (default {DEFAULT_TRUNCATION})",
@@ -475,15 +498,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("euler", parents=[json_flag], help="list x^y = y^x solutions")
-    p.add_argument("n_max", type=int)
+    p.add_argument("n_max", type=_integer("n_max"))
     p.set_defaults(func=cmd_euler)
 
     p = sub.add_parser(
         "family", parents=[json_flag, precision],
         help="one (a, b, c) solution tuple",
     )
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
+    p.add_argument("b", type=_integer("b"))
+    p.add_argument("c", type=_integer("c"))
     p.add_argument("--a", default=None, help="rational a (default b+c)")
     p.set_defaults(func=cmd_family)
 
@@ -496,8 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
         "digits", parents=[json_flag, precision],
         help="digit count of the family's common value",
     )
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
+    p.add_argument("b", type=_integer("b"))
+    p.add_argument("c", type=_integer("c"))
     p.set_defaults(func=cmd_digits)
 
     p = sub.add_parser(
@@ -518,14 +541,14 @@ def build_parser() -> argparse.ArgumentParser:
         "transform", parents=[json_flag, precision, lattice],
         help="verify a product-identity transform",
     )
-    p.add_argument("--n", type=int, default=None, help="pair instance from the n-th solution")
+    p.add_argument("--n", type=_integer("--n"), default=None, help="pair instance from the n-th solution")
     p.add_argument("--abc", nargs=3, default=None, metavar=("A", "B", "C"),
                    help="quad instance from family parameters")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("search", parents=[json_flag], help="all-integer family tuples in a range")
-    p.add_argument("b_max", type=int)
-    p.add_argument("c_max", type=int)
+    p.add_argument("b_max", type=_integer("b_max"))
+    p.add_argument("c_max", type=_integer("c_max"))
     p.set_defaults(func=cmd_search)
 
     return parser
@@ -543,6 +566,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     code = 0
     try:
+        for value in vars(args).values():
+            if isinstance(value, OversizedValue):
+                raise value
         if hasattr(args, "precision"):
             if args.precision is None:
                 args.precision = _env_precision()

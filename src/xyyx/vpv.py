@@ -17,13 +17,20 @@ product of their denominators, powers of b and d, is subtracted as
 R_b log b + R_d log d with exact R_b and R_d.  The rest of the column
 runs in fixed point, stepping X^j Y^k from one coprime j' to the next j
 by X^(j - j'), an exact fraction while its numerator and denominator are
-short.  The columns of each doubling chain k = m, 2m, 4m, ... (m odd) are
-folded into one number whose log, divided by the chain's last k, is the
-chain's sum of log(column)/k; those terms and the two denominator terms are
-summed exactly with one final rounding (mp.fsum).  One evaluation over Nk
-columns thus takes at most ceil(Nk/2) + 1 mpmath logs, the last for the
-axis factor 1 - Y, plus log b and log d when some column has a prefix, and
-no other mpmath arithmetic per point.  The a-priori rounding and pruning error is
+short.  Once |X^j Y^k| falls below a second cut, about the square root of
+2^-(p + GUARD_BITS), the column's remaining factors are still stepped one by one, but
+their t = X^j Y^k are added up and the column is multiplied once by
+1 - sum t, whose log is their sum of log(1 - t) to within the rounding
+already allowed.  The columns of each doubling chain k = m, 2m, 4m, ...
+(m odd) are folded into one number whose log, divided by the chain's last
+k, is the chain's sum of log(column)/k.  The chain ends are paired, each
+pair (a, b) raised to the powers lcm(a, b)/a and lcm(a, b)/b and
+multiplied, so that one log divided by lcm(a, b) gives both chains' terms;
+those terms and the two denominator terms are summed exactly with one
+final rounding (mp.fsum).  An evaluation thus takes about one mpmath log
+per four columns of the box, one for the axis factor 1 - Y, and log b and
+log d when some column has a prefix, and no other mpmath arithmetic per
+point.  The a-priori rounding and pruning error is
 below 2^-(p+8) whenever S + L < 2^21, with L = log(1/(1-|Y|)) and
 S = |X|/(1-|X|) L; eval_product derives the budget.
 
@@ -54,6 +61,14 @@ LOG_GUARD_BITS = 5
 # eval_product takes exact prefixes only if column 1's reaches this j: fewer
 # exact factors save less than the two logs of the denominators cost.
 PREFIX_MIN_J = 16
+# eval_product pairs the chain ends a < b whose ratio b/a is s/r in lowest
+# terms with s <= PAIR_MAX_RATIO first: the powers lcm(a, b)/a = s and
+# lcm(a, b)/b = r of such a pair then take at most three squarings each.
+PAIR_MAX_RATIO = 15
+# those ratios s/r, by ascending s; as b <= K < 2a for ends in (K/2, K], r > s/2
+_PAIR_RATIOS = tuple(
+    (s, r) for s in range(3, PAIR_MAX_RATIO + 1) for r in range(s // 2 + 1, s) if math.gcd(r, s) == 1
+)
 
 
 class Convention(str, Enum):
@@ -257,6 +272,48 @@ def _power_steps(X: Fraction, Nj: int, P: int) -> list[tuple[int, int, int]]:
     return steps
 
 
+def _power(q: tuple[int, int], n: int, P: int) -> tuple[int, int]:
+    """(m, e) with m 2^e about Q^n, Q = q[0] 2^q[1] and q[0] > 0 of P bits.
+
+    Left-to-right square-and-multiply, m cut back to P bits (toward 0) after
+    each square and its multiply by q[0], as a chain fold is cut.  The cut
+    after the i-th of the s = bitlen(n) - 1 squarings is squared s - i more
+    times, so the cuts' relative losses, each below 2^(1-P), enter with
+    weights adding up to 2^s - 1 <= n - 1:
+    (1 - 2 (n - 1) 2^-P) Q^n <= m 2^e <= Q^n.
+    """
+    c, c_exp = m, e = q
+    for bit in bin(n)[3:]:
+        m, e = m * m, 2 * e
+        if bit == "1":
+            m, e = m * c, e + c_exp
+        sh = m.bit_length() - P
+        m, e = m >> sh, e + sh
+    return m, e
+
+
+def _end_pairs(K: int) -> list[tuple[int, ...]]:
+    """The chain ends k in (K/2, K] in pairs (a, b), a < b, and one single (k,) if their count is odd.
+
+    Pairs whose ratio b/a is one of _PAIR_RATIOS come first, in its order,
+    so that the powers lcm(a, b)/a = s and lcm(a, b)/b = r stay small.  The
+    ends left over pair in ascending order.
+    """
+    free = bytearray(K // 2 + 1) + b"\1" * (K - K // 2)  # free[k]: k not yet paired
+    pairs: list[tuple[int, ...]] = []
+    for s, r in _PAIR_RATIOS:
+        for g in range(K // (2 * r) + 1, K // s + 1):  # K/2 < g r < g s <= K
+            a, b = g * r, g * s
+            if free[a] and free[b]:
+                free[a] = free[b] = 0
+                pairs.append((a, b))
+    rest = [k for k in range(K // 2 + 1, K + 1) if free[k]]
+    pairs += zip(rest[::2], rest[1::2])
+    if len(rest) & 1:
+        pairs.append((rest[-1],))
+    return pairs
+
+
 def eval_product(
     X: Fraction,
     Y: Fraction,
@@ -306,18 +363,37 @@ def eval_product(
     ONE - t.  Short fractions at high precision run whole columns in the
     prefix; wide ones run all, or nearly all, in the suffix.
 
+    First-order tail.  With M' = min(Nj, ceil(1/(1-|X|))) and
+    tau = 2^-(ceil((p + GUARD_BITS)/2) + bitlen(M') + 2 +
+    floor(bitlen(Nk)/2)), about sqrt(u/(16 Nk))/M', the suffix ends before
+    the first j with |X^j Y^k| < tau, tested like the pruning cut below, as
+    |x_j * y_k| < 2^(2P) tau, so that this j too only falls with k.  The
+    factors past it, up to the pruning cut, are the column's tail: their t
+    are stepped as in the suffix but only added up, and the column is
+    multiplied once by ONE - sum t.  The prefix is left as it is, so a tail
+    starts after it.  Every factor is still computed on its own.
+
     Doubling chains.  With K the number of columns that ran, Q_k = P_k for
     odd k and Q_k = Q_(k/2)^2 P_k for even k, cut back to P bits once.  The
     chain k = m, 2m, 4m, ... (m odd) ends at the one k in (K/2, K], and
     log(Q_k)/k there is, term for term, the chain's sum of log(P_k)/k (of
-    log(P_k D_k)/k, with D_k the prefix denominators of column k).  Each
-    such Q_k becomes one mpf (exactly, as it has P bits).  With
-    W = R_b bitlen(b) + R_d bitlen(d), the terms log(Q_k)/k,
+    log(P_k D_k)/k, with D_k the prefix denominators of column k).
+
+    Paired chain ends.  _end_pairs pairs the ceil(K/2) chain ends: first
+    the a < b whose ratio b/a is s/r in lowest terms with
+    s <= PAIR_MAX_RATIO, so that the powers stay small, then the rest in
+    ascending order, with one end left single when their count is odd.  A
+    pair is the virtual column V = Q_a^(q/a) Q_b^(q/b), q = lcm(a, b), each
+    power taken by _power and their product cut back to P bits, so that
+    log(V)/q is the sum of the two chains' terms; a single k is V = Q_k,
+    q = k.  Each V becomes one mpf (exactly, as it has P bits).  With
+    W = R_b bitlen(b) + R_d bitlen(d), the terms log(V)/q,
     -R_b log b and -R_d log d cancel from magnitudes up to W down to the
     sum, so they are taken at w = p + GUARD_BITS + bitlen(ceil W) +
     LOG_GUARD_BITS bits (w = p + GUARD_BITS when W = 0); mp.fsum sums them
-    exactly in integers and rounds once, to p + GUARD_BITS: ceil(K/2) logs
-    per evaluation, plus log b and log d when R_b and R_d are nonzero.  The axis
+    exactly in integers and rounds once, to p + GUARD_BITS:
+    ceil(ceil(K/2)/2) chain logs per evaluation, plus log b and log d when
+    R_b and R_d are nonzero.  The axis
     point's log(1 - Y), with 1 - Y formed as an exact Fraction and rounded
     once, is added last, so that the axis and strict sums differ by exactly
     one rounded addition.
@@ -356,29 +432,47 @@ def eval_product(
       box, using sum_j |X|^j <= M, sum_(j <= Nj) j |X|^j <= M Nj,
       sum_k |Y|^k/k <= L and M (1-|X|) <= 1, the three terms give at most
       u/2, u H_Nk/4 and u L/2.  The factor 1-|X| in e is what absorbs the
-      row sums;
+      row sums.  A tail factor's t errs alike, and its error enters sum t,
+      which log(1 - sum t) amplifies by at most 1/(1 - tau M) <=
+      1 + 2 tau M, 1 to first order;
+    * tail remainders, at most u/16: with sigma = sum |T| <= tau M over
+      the tail of column k (its |T| are below tau, up to the test's error,
+      and fall geometrically in j), log(1 - sum T) and sum log(1 - T)
+      differ by at most tau sigma + sigma^2 <= tau^2 M (M + 1) <
+      (u/16) 4^-floor(b/2), b = bitlen(Nk), as M (M + 1) < 4^bitlen(M').
+      After the weights 1/k that is below (u/16) H_Nk 4^-floor(b/2) <= u/16
+      over the box, as H_Nk <= 2^(b-1) <= 4^floor(b/2).  It comes out of
+      the logs' u/4 below;
     * column products and chains, at most u * H_Nk/2: up to Nj cuts, after
-      a multiply by ONE - t or by B - A alike, carry
+      a multiply by ONE - t, ONE - sum t or B - A alike, carry
       relative error at most gamma_Nj = Nj nu/(1 - Nj nu) with nu = 2 eps
       (Higham, Accuracy and Stability of Numerical Algorithms, s3.1).  A
       fold doubles the relative error Q_(k/2) carries and adds its own cut,
       so the chain from m to m 2^r errs by below 2 eps (2^r - 1) relative
       and its term log(Q_k)/k by below 2 eps/m; over all chains that is
-      2 eps H_Nk, and 2 eps (Nj + 1) H_Nk <= u H_Nk/2;
+      2 eps H_Nk.  A pair's powers carry Q_a's and Q_b's errors into
+      log(V)/q as log(Q_a)/a and log(Q_b)/b do, and _power's cuts and the
+      product's add below 2 eps (q/a - 1) + 2 eps (q/b - 1) + 2 eps
+      relative, so below 2 eps (1/a + 1/b) to log(V)/q: below
+      2 eps sum 1/k <= 2 eps over the ends k in (K/2, K].  Pairs need K >= 3,
+      and then 2 eps (Nj + 1) H_Nk + 2 eps <= 2 eps (Nj + Nk) H_Nk <=
+      u H_Nk/2;
     * pruned mass, at most u * (H_Nk + (L+1)/2): the skipped factors of
       column k carry at most (cut + delta) M / k, with cut * M <= u and the
       test's error delta <= 2 eps (M |Y|^k + k), below half the cut;
     * logs, at most u * (4S + H_Nk/4): the terms' absolute values add up
-      to at most S + 2W log 2, since sum_k |log Q_k|/k is at most
+      to at most S + 2W log 2, since |log V|/q <= |log Q_a|/a +
+      |log Q_b|/b and sum_k |log Q_k|/k is at most
       sum_k |log P_k|/k <= sum |log(1 - |T|)|/k = S and the denominators
       add W log 2 twice, once in the chains and once subtracted.  Each term
       takes at most three roundings at w bits (the log within one ulp, a
       multiply and a division), so errs by below 4 2^-w relative.  With
       W = 0 that is at most 3u S (a log and a division); otherwise
-      4 2^-w (S + 2W log 2) < u (S/8 + 1/4), as 2^(w - p - GUARD_BITS) >
-      32 W.  The one rounding of the sum adds u S.  The u/4 comes out of the
-      2 H_Nk in the total, which the other items use only 7/4 of (H_Nk >= 1
-      once a column runs).  mp.fsum drops a term, or its
+      4 2^-w (S + 2W log 2) < u (S/8 + log(2)/4), as
+      2^(w - p - GUARD_BITS) > 32 W.  The one rounding of the sum adds u S.
+      The u/4 holds that u log(2)/4 and the tail remainders' u/16; it
+      comes out of the 2 H_Nk in the total, which the other items use only
+      7/4 of (H_Nk >= 1 once a column runs).  mp.fsum drops a term, or its
       running sum, only when it lies more than 2 (p + GUARD_BITS) bits
       below the other, so at most Nk + 2 drops lose (Nk + 2) u^2 (S + 2W),
       second order in u, as every prefix point has j bitlen(b) +
@@ -410,6 +504,10 @@ def eval_product(
     for _ in range(Nj):
         xpow.append((xpow[-1] * xf) >> P)
     cut = (ONE - abs(xf)) << (P - prec)
+    # the first-order tail's cut tau = 2^-tau_bits, on the same scale ONE^2
+    M = min(Nj, -(-xd // (xd - abs(xn))))  # M' = min(Nj, ceil(1/(1-|X|)))
+    tau_bits = (prec + 1) // 2 + M.bit_length() + 2 + Nk.bit_length() // 2
+    tail_cut = 1 << (2 * P - tau_bits)
     primes_of = _prime_divisors(Nk)
     bx, by = xd.bit_length(), yd.bit_length()
     top = P if PREFIX_MIN_J * bx + by <= P else 0  # prefixes while k by <= top
@@ -418,7 +516,7 @@ def eval_product(
     # with R_b = rb/rq, its terms added as plain ints
     rb, rq, R_d = 0, 1, 0
     folded = []  # (mantissa, exponent) of Q_k times its prefix denominators
-    jmax = Nj
+    jmax = jmul = Nj  # factors j <= jmul are multiplied in, the rest of the column is its tail
     yk = ONE
     for k in range(1, Nk + 1):
         yk = (yk * yf) >> P
@@ -426,6 +524,8 @@ def eval_product(
             jmax -= 1
         if not jmax:
             break
+        while jmul and abs(xpow[jmul] * yk) < tail_cut:
+            jmul -= 1
         if k == 1:  # jmax only falls, so no later gap exceeds this one
             steps = _power_steps(X, jmax, P)
             xnum, xden = [1], [1]
@@ -440,7 +540,8 @@ def eval_product(
             ya, yb = ya * yn, yb * yd
             short = min(jmax, (P - k * by) // bx)
         prefix = list(compress(range(1, short + 1), coprime))
-        c, c_exp = ONE, -P * (1 + coprime.count(1) - len(prefix))  # ONE - t brings 2^-P
+        mid = max(short, min(jmul, jmax))  # the suffix's coprime j lie in (short, mid]
+        c, c_exp = ONE, -P * (1 + coprime.count(1, short, mid))  # ONE - t brings 2^-P
         t, i = yk, 0
         if prefix:
             A, B = ya, yb
@@ -454,7 +555,7 @@ def eval_product(
             rb, rq = rb * k + sum(prefix) * rq, rq * k
             R_d += len(prefix)
             t = (A << P) // B
-        for j in compress(range(i + 1, jmax + 1), coprime[i:]):
+        for j in compress(range(i + 1, mid + 1), coprime[i:mid]):
             m, s, d = steps[j - i]
             t = (t * m >> s) // d
             i = j
@@ -462,6 +563,17 @@ def eval_product(
             sh = c.bit_length() - P
             c >>= sh
             c_exp += sh
+        tail = 0
+        for j in compress(range(i + 1, jmax + 1), coprime[i:]):
+            m, s, d = steps[j - i]
+            t = (t * m >> s) // d
+            i = j
+            tail += t
+        if tail:
+            c *= ONE - tail
+            sh = c.bit_length() - P
+            c >>= sh
+            c_exp += sh - P
         if not k & 1:
             f, f_exp = folded[k // 2 - 1]
             c *= f * f
@@ -469,13 +581,20 @@ def eval_product(
             c >>= sh
             c_exp += 2 * f_exp + sh
         folded.append((c, c_exp))
-    K = len(folded)
-    with mp.workprec(P):  # wide enough to hold each P-bit Q_k exactly
-        chains = [(k, mp.mpf(folded[k - 1])) for k in range(K // 2 + 1, K + 1)]
+    chains = []  # (q, V) with log(V)/q the sum of its ends' log(Q_k)/k
+    with mp.workprec(P):  # wide enough to hold each P-bit V exactly
+        for ends in _end_pairs(len(folded)):
+            lcm = math.lcm(*ends)
+            v, v_exp = 1, 0
+            for k in ends:
+                m, e = _power(folded[k - 1], lcm // k, P)
+                v, v_exp = v * m, v_exp + e
+            sh = v.bit_length() - P
+            chains.append((lcm, mp.mpf((v >> sh, v_exp + sh))))
     # the terms cancel from about W = R_b bitlen(b) + R_d bitlen(d) down to the sum
     wide = -(-(rb * bx + R_d * by * rq) // rq)  # ceil(W)
     with mp.workprec(prec + (wide and wide.bit_length() + LOG_GUARD_BITS)):
-        terms = [mp.log(q) / k for k, q in chains]
+        terms = [mp.log(v) / lcm for lcm, v in chains]
         if rb:
             terms.append(-mp.log(xd) * rb / rq)
         if R_d:

@@ -24,6 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # 10000000000000000051 * 30000000000000000041: rho would need ~10^10 steps
 HARD_SEMIPRIME = "300000000000000001940000000000000002091"
 
+BIG = "1" + "0" * 4300  # 10^4300, one digit past the default int-to-str limit
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -293,6 +295,13 @@ class TestOversizedValues:
             (("transform", "--abc", "10001/10000", "1", "1"), "|X| must be < 1, got X = a value that"),
             (("verify", "9" * 5001, "1", "1", "1"), "the numerator of a rational argument"),
             (("family", "2", "2", "--a", "1/" + "9" * 5001), "the denominator of a rational argument"),
+            # an integer argument past the limit, which int() refuses, is named too
+            (("euler", BIG), "the argument n_max"),
+            (("vpv-eval", "1/2", "3/4", "--truncation", BIG), "the argument --truncation"),
+            (("transform", "--n", BIG), "the argument --n"),
+            (("search", "60", "-" + BIG), "the argument c_max"),
+            (("digits", BIG, "2"), "the argument b"),
+            (("family", "2", "2", "--precision", BIG), "the argument --precision"),
         ],
     )
     def test_record_names_the_field(self, capsys, argv, field):
@@ -300,6 +309,24 @@ class TestOversizedValues:
         assert code == 1 and doc["status"] == "error"
         assert doc["message"] == f"{field} has more than {sys.get_int_max_str_digits()} decimal digits"
         assert "set_int_max_str_digits" not in doc["message"]
+
+    def test_integer_arguments_at_a_lower_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, doc = run_json(capsys, "family", "1" + "0" * 4299, "1" + "0" * 4299, "--a", "1/2")
+            assert code == 1 and doc["message"] == "the argument b has more than 640 decimal digits"
+            code, doc = run_json(capsys, "euler", "1" + "0" * 639)
+            assert code == 1 and doc["message"].startswith("n = 1" + "0" * 639 + " is too large")
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("argv", [("euler", "x"), ("euler", BIG + "x"), ("vpv-eval", "1/2", "3/4", "--truncation", "1.5")])
+    def test_other_malformed_integers_stay_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, field",
@@ -472,6 +499,10 @@ class TestDigitLimitOff:
             (("euler", "100000"), "n = 100000 is too large: the numerator of y = ((n+1)/n)^(n+1) has more than"),
             (("search", "3000", "3000"), "results.solutions[526].x has more than"),
             (("transform", "--abc", "3000001/1000000", "2", "2"), "results.parameters.X has more than"),
+            # int() would read these, so the digit limit's default decides
+            (("euler", BIG), "the argument n_max has more than"),
+            (("transform", "--n", BIG), "the argument --n has more than"),
+            (("vpv-eval", "1/2", "3/4", "--truncation", BIG), "the argument --truncation has more than"),
         ],
     )
     def test_refused_at_once(self, argv, message):
@@ -513,6 +544,9 @@ class TestDigitLimitOff:
             # quad's error names its irrational members instead of printing them
             ("family", "1" + "0" * 4299, "1" + "0" * 4299, "--a", "1/2"),
             ("transform", "--abc", "1/2", "1" + "0" * 4299, "1" + "0" * 4299),
+            ("euler", BIG),
+            ("search", BIG, BIG),
+            ("vpv-eval", "1/2", "3/4", "--truncation", BIG),
         ],
     )
     def test_same_record_as_at_the_default_limit(self, capsys, argv):

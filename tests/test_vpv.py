@@ -17,6 +17,8 @@ from xyyx.vpv import (
     GUARD_BITS,
     Convention,
     Form,
+    _end_pairs,
+    _power,
     _power_steps,
     closed_form,
     count_visible,
@@ -287,10 +289,11 @@ class TestColumnProductAgreement:
 
     @pytest.mark.parametrize("sx,sy", SIGNS)
     def test_logs_follow_the_pruning_rule(self, monkeypatch, sx, sy):
-        # one log for the axis term plus one per doubling chain of the
-        # columns k whose j = 1 term |X Y^k| is at least 2^-(p+32) (1-|X|),
-        # in exact rationals: those columns are k = 1..K, with ceil(K/2) chains;
-        # log b and log d are taken too once a column has an exact prefix
+        # one log for the axis term plus one per pair of doubling chains of
+        # the columns k whose j = 1 term |X Y^k| is at least 2^-(p+32) (1-|X|),
+        # in exact rationals: those columns are k = 1..K, with ceil(K/2)
+        # chains in ceil(ceil(K/2)/2) pairs and singles; log b and log d are
+        # taken too once a column has an exact prefix
         calls = []
         log = mp.log
 
@@ -307,8 +310,9 @@ class TestColumnProductAgreement:
                     columns = sum(abs(X * Y**k) >= cut * (1 - abs(X)) for k in range(1, Nk + 1))
                     calls.clear()
                     split = column_split(monkeypatch, X, Y, Nj, Nk, bits)
-                    denominators = 2 if any(prefix for prefix, _ in split) else 0
-                    assert len(calls) == 1 + (columns + 1) // 2 + denominators, (X, Y, Nj, Nk, bits)
+                    denominators = 2 if any(prefix for prefix, _, _ in split) else 0
+                    chains = (columns + 1) // 2
+                    assert len(calls) == 1 + (chains + 1) // 2 + denominators, (X, Y, Nj, Nk, bits)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -374,7 +378,7 @@ LONG_Y = 1 - F(60, 61) ** 61
 
 class TestPowerStepsAndChains:
     """Steps by X's own fraction or by a mantissa of X^g, and one log per
-    doubling chain of columns, against the per-point reference."""
+    pair of doubling chains of columns, against the per-point reference."""
 
     @pytest.mark.parametrize("X", [F(5, 7), F(-5, 7), F(1, 2), LONG_X, -LONG_X])
     @pytest.mark.parametrize("P", [100, 400])
@@ -404,7 +408,8 @@ class TestPowerStepsAndChains:
         log = mp.log
         monkeypatch.setattr(mp, "log", lambda x: calls.append(x) or log(x))
         eval_product(X, Y, 9, Nk, 128, STRICT, DIRECT)
-        assert len(calls) == 1 + (Nk + 1) // 2 + 2  # and log b, log d of the prefixes
+        chains = (Nk + 1) // 2
+        assert len(calls) == 1 + (chains + 1) // 2 + 2  # and log b, log d of the prefixes
 
     def test_chains_of_columns_far_below_one(self):
         # the column products lie between 2^-223 and 2^-39, and the chain
@@ -412,12 +417,34 @@ class TestPowerStepsAndChains:
         X = Y = F(2303, 2304)
         assert_agrees_with_reference(X, Y, 30, 64, 128, derived_budget(X, Y, 30, 64, 128))
 
+    def test_every_chain_end_in_one_pair_or_single(self):
+        for K in range(1, 201):
+            groups = _end_pairs(K)
+            chains = (K + 1) // 2
+            assert sorted(k for group in groups for k in group) == list(range(K // 2 + 1, K + 1))
+            assert len(groups) == (chains + 1) // 2, K
+            assert [len(group) for group in groups].count(1) == chains % 2, K
+            assert all(len(group) == 1 or (len(group) == 2 and group[0] < group[1]) for group in groups)
+        # a ratio of 3/2: powers 3 and 2 of the lcm 102
+        assert (34, 51) in _end_pairs(60)
+
+    @pytest.mark.parametrize("P", [64, 300])
+    def test_power_within_its_bound(self, P):
+        rng = random.Random(P)
+        for n in [*range(1, 40), 127, 128, 255, 398]:
+            m = rng.getrandbits(P - 1) | 1 << (P - 1)
+            e = rng.randint(-3 * P, P)
+            pm, pe = _power((m, e), n, P)
+            exact = (m * F(2) ** e) ** n
+            assert pm.bit_length() == P
+            assert (1 - F(2 * (n - 1), 2**P)) * exact <= pm * F(2) ** pe <= exact, n
+
 
 def column_split(monkeypatch, X, Y, Nj, Nk, bits):
-    """The j of each column's exact prefix and of its fixed-point suffix.
+    """The j of each column's exact prefix, multiplied suffix and first-order tail.
 
-    eval_product enumerates each column's coprime j with two compress
-    calls, the prefix first; this records what they yield.
+    eval_product enumerates each column's coprime j with three compress
+    calls, in that order; this records what they yield.
     """
     seen = []
 
@@ -428,7 +455,41 @@ def column_split(monkeypatch, X, Y, Nj, Nk, bits):
     monkeypatch.setattr(vpv, "compress", recording)
     eval_product(X, Y, Nj, Nk, bits, STRICT, DIRECT)
     monkeypatch.setattr(vpv, "compress", compress)
-    return list(zip(seen[::2], seen[1::2]))
+    return list(zip(seen[::3], seen[1::3], seen[2::3]))
+
+
+class TestFirstOrderTail:
+    """Past |X^j Y^k| < tau a column's t are added up and it is multiplied
+    once by 1 - sum t; the product stays within the derived budget."""
+
+    @staticmethod
+    def tau(X, Nj, Nk, bits):
+        """The cut eval_product's docstring derives: 2^-(ceil(p'/2) + bitlen(M') + 2 + floor(bitlen(Nk)/2))."""
+        M = min(Nj, math.ceil(1 / (1 - abs(X))))
+        return F(1, 2 ** ((bits + GUARD_BITS + 1) // 2 + M.bit_length() + 2 + Nk.bit_length() // 2))
+
+    @pytest.mark.parametrize(
+        "X,Y",
+        [(F(-1, 9), F(13, 14)), (F(1, 9), F(-13, 14)), (F(14, 15), F(1, 2)), (F(-14, 15), F(-1, 2))],
+    )
+    def test_agrees_with_brute_force(self, monkeypatch, X, Y):
+        N, bits = 115, 128
+        split = column_split(monkeypatch, X, Y, N, N, bits)
+        assert any((prefix or suffix) and tail for prefix, suffix, tail in split)
+        tau = self.tau(X, N, N, bits)
+        edge = F(1, 2**40)  # the fixed-point test's error, relative
+        for k, (prefix, suffix, tail) in enumerate(split, 1):
+            assert all(abs(X**j * Y**k) >= tau * (1 - edge) for j in suffix), k
+            assert all(abs(X**j * Y**k) < tau * (1 + edge) for j in tail), k
+        prec = bits + 3 * GUARD_BITS
+        oracle = brute_force_product(X, Y, N, N, STRICT, DIRECT, prec)
+        budget = derived_budget(X, Y, N, N, bits)
+        with mp.workprec(prec):
+            strict = mp.log(oracle)
+            axis = strict + mp.log(mpf_q(1 - Y))
+            for conv, form, expected in ((STRICT, DIRECT, strict), (AXIS, RECIPROCAL, -axis)):
+                r = eval_product(X, Y, N, N, bits, conv, form)
+                assert abs(r.log_value - expected) <= budget, (conv, form)
 
 
 class TestExactPrefix:
@@ -443,7 +504,7 @@ class TestExactPrefix:
     @pytest.mark.parametrize("X,Y,N", [(F(1, 2), F(3, 4), 40), (F(-11, 12), F(13, 14), 30)])
     def test_4096_bits(self, monkeypatch, X, Y, N):
         split = column_split(monkeypatch, X, Y, N, N, 4096)
-        assert all(prefix and not suffix for prefix, suffix in split)
+        assert all(prefix and not suffix + tail for prefix, suffix, tail in split)
         self.assert_within_budget(X, Y, N, N, 4096)
 
     @pytest.mark.parametrize("bits", [128, 256])
@@ -451,9 +512,9 @@ class TestExactPrefix:
         X, Y = F(14, 15), F(2303, 2304)
         split = column_split(monkeypatch, X, Y, 60, 60, bits)
         assert len(split) == 60
-        assert any(prefix and suffix for prefix, suffix in split)
-        for k, (prefix, suffix) in enumerate(split, 1):
-            column = prefix + suffix
+        assert any(prefix and suffix + tail for prefix, suffix, tail in split)
+        for k, (prefix, suffix, tail) in enumerate(split, 1):
+            column = prefix + suffix + tail
             assert column == sorted(set(column))
             assert all(math.gcd(j, k) == 1 for j in column)
         self.assert_within_budget(X, Y, 60, 60, bits)
@@ -463,7 +524,7 @@ class TestExactPrefix:
         X, Y = F(1, 2), 1 - F(1, 2**40)
         split = column_split(monkeypatch, X, Y, 20, 20, 128)
         assert len(split) == 20
-        assert [bool(prefix) for prefix, _ in split] == [True] * 4 + [False] * 16
+        assert [bool(prefix) for prefix, _, _ in split] == [True] * 4 + [False] * 16
         self.assert_within_budget(X, Y, 20, 20, 128)
 
     @pytest.mark.parametrize("X,Y", [(F(-5, 7), F(3, 4)), (F(5, 7), F(-3, 4)), (-F(5, 7), -F(3, 4))])
@@ -479,13 +540,13 @@ class TestExactPrefix:
         # stop at j = 4, short of PREFIX_MIN_J
         anchor = column_split(monkeypatch, F(1, 2), F(3, 4), 68, 68, 2048)
         assert len(anchor) == 68
-        assert all(prefix and not suffix for prefix, suffix in anchor)
+        assert all(prefix and not suffix + tail for prefix, suffix, tail in anchor)
         long = column_split(monkeypatch, LONG_X, LONG_Y, 20, 13, 2048)
-        assert len(long) == 13 and not any(prefix for prefix, _ in long)
+        assert len(long) == 13 and not any(prefix for prefix, _, _ in long)
         wide = pair_from_euler(1369)
         split = column_split(monkeypatch, wide.X, wide.Y, 20, 20, 256)
         assert len(split) == 20
-        assert all(suffix and not prefix for prefix, suffix in split)
+        assert all(suffix + tail and not prefix for prefix, suffix, tail in split)
 
     def test_log_terms_are_rounded_once(self, monkeypatch):
         # the chain terms and -R_b log b - R_d log d cancel from about 1624
