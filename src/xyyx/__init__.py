@@ -15,7 +15,6 @@ from .errors import (
 from .exact import ONE, PrimePowerProduct, digit_count, factorize, is_prime, log10_interval
 from .solutions import (
     NumericVerdict,
-    ScalarIdentity,
     SolutionTuple,
     TrivialityVerdict,
     classify_triviality,

@@ -63,7 +63,6 @@ from .solutions import (
     euler_solution,
     general_solution,
     numeric_verify,
-    quad_identity,
     rational_family,
     verify_fractions,
     verify_product_equation,
@@ -101,20 +100,25 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _integer(name: str):
-    """The argparse type of the integer argument name.
+def _read_int(text: str, what: str):
+    """int(text), or for an integer of more than digit_limit() digits the OversizedValue naming it as what.
 
-    It gives an int, or for an integer of more than digit_limit() digits the
-    OversizedValue naming the argument, which main reports as an error
-    record, as parse_rational does a rational's terms.
+    The OversizedValue is returned, not raised; main reports it as an error
+    record, as parse_rational does a rational's terms.  Text that int() does
+    not read raises its ValueError.
     """
+    limit = digit_limit()
+    if len(text) > limit and _INTEGER_RE.fullmatch(text):
+        if len(text.strip().lstrip("+-").replace("_", "")) > limit:
+            return OversizedValue(what, limit)
+    return int(text)
+
+
+def _integer(name: str):
+    """The argparse type of the integer argument name: _read_int, naming it "the argument name"."""
 
     def parse(text: str):
-        limit = digit_limit()
-        if len(text) > limit and _INTEGER_RE.fullmatch(text):
-            if len(text.strip().lstrip("+-").replace("_", "")) > limit:
-                return OversizedValue(f"the argument {name}", limit)
-        return int(text)
+        return _read_int(text, f"the argument {name}")
 
     parse.__name__ = "int"  # argparse names the type in its usage errors
     return parse
@@ -353,7 +357,8 @@ def cmd_digits(args) -> dict:
     # the count is more than y log10 x >= 2^(ly - 2), as x >= 2 here
     if exceeds_digits(None, digit_limit(), (log2_bounds(t.y)[0] - 2, math.inf)):
         raise _oversized("digits")
-    common = quad_identity(t).left
+    x, y, _, _ = t.as_fractions()
+    common = t.x**y * t.y**x
     digits = digit_count(common)
     if exceeds_digits(digits, digit_limit()):  # before scientific prints it
         raise _oversized("digits")
@@ -555,11 +560,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _env_precision() -> int:
+    """The precision in PRECISION_ENV, read as --precision is read.
+
+    A value past the digit limit is named, not echoed.
+    """
     text = os.environ.get(PRECISION_ENV, str(DEFAULT_PRECISION))
     try:
-        return int(text)
+        bits = _read_int(text, PRECISION_ENV)
     except ValueError:
         raise ValueError(f"{PRECISION_ENV} must be an integer, got {text!r}") from None
+    if isinstance(bits, OversizedValue):
+        raise bits
+    return bits
 
 
 def main(argv: list[str] | None = None) -> int:

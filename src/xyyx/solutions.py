@@ -9,11 +9,17 @@ q_1, ..., q_k > 1 are multiplicatively independent: if prod q_i^(c_i) = 1
 with integer c_i, then a prime p of q_i divides no other q_j, so
 c_i v_p(q_i) = 0 and c_i = 0.  Their logarithms are then linearly
 independent over Q too, and vectors over any such base decide the same
-equality.  verify_fractions takes its base from the four rationals
-themselves by factor refinement (_coprime_base; Bach, Driscoll and Shallit,
-"Factor refinement", J. Algorithms 15, 1993; Bernstein, "Factoring into
-coprimes in essentially linear time", J. Algorithms 54, 2005), so it needs
-gcds and exact divisions only: no primality test, no rho and no budget.
+equality.  An identity given as values, prod a^b on each side with
+positive rationals a and b, is decided by _holds on a base taken from the
+a themselves by factor refinement (_coprime_base; Bach, Driscoll and
+Shallit, "Factor refinement", J. Algorithms 15, 1993; Bernstein, "Factoring
+into coprimes in essentially linear time", J. Algorithms 54, 2005), so it
+needs gcds and exact divisions only: no primality test, no rho and no
+budget.  verify_power_equation, verify_fractions and
+transforms.closed_equality_check all decide this way.  The verdicts on
+values this module builds, family tuples and Euler and search rows, stay
+on the vectors the values are built from, which are cheaper there than
+refining a base from the values.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .errors import (
 from .exact import (
     ONE,
     PrimePowerProduct,
-    _exponent,
     _strip,
     check_positive,
     check_precision,
@@ -87,28 +92,6 @@ class SolutionTuple:
         return "(%s, %s, %s, %s)" % self.values()
 
 
-@dataclass(frozen=True)
-class ScalarIdentity:
-    """Both sides of an underlying power equality, as prime-power products."""
-
-    left: PrimePowerProduct
-    right: PrimePowerProduct
-
-    @property
-    def holds(self) -> bool:
-        return self.left == self.right
-
-
-def _side(terms) -> PrimePowerProduct:
-    """The product of a^b over the (b, factors of a) in terms, as one exponent map sum(b vec(a))."""
-    exps: dict = {}
-    for b, factors in terms:
-        b = _exponent(b)
-        for p, e in factors:
-            exps[p] = exps.get(p, 0) + b * e
-    return PrimePowerProduct._from_map(exps)
-
-
 def _cancels(left, right) -> bool:
     """Whether sum(b vec(a)) over the (b, factors of a) terms of left equals that over right.
 
@@ -124,22 +107,6 @@ def _cancels(left, right) -> bool:
             for p, e in factors:
                 diff[p] = diff.get(p, 0) + k * e
     return not any(diff.values())
-
-
-def _terms(sides) -> list[list]:
-    """Sides of (a, b) pairs of positive rationals, a^b each, as (b, factors of a) terms."""
-    return [[(b, PrimePowerProduct.from_fraction(a).factors) for a, b in side] for side in sides]
-
-
-def pair_identity(x: Fraction, y: Fraction) -> ScalarIdentity:
-    """x^y against y^x, for positive rationals x and y."""
-    return ScalarIdentity(*map(_side, _terms([[(x, y)], [(y, x)]])))
-
-
-def quad_identity(t: SolutionTuple) -> ScalarIdentity:
-    """x^y y^x against v^w w^v, for a rational-valued tuple."""
-    x, y, v, w = t.as_fractions()
-    return ScalarIdentity(_side([(y, t.x.factors), (x, t.y.factors)]), _side([(w, t.v.factors), (v, t.w.factors)]))
 
 
 @dataclass(frozen=True)
@@ -176,9 +143,14 @@ def _euler_verdict(n: int, x: Fraction, y: Fraction, factor) -> bool:
 
 
 def verify_power_equation(x: Fraction, y: Fraction) -> bool:
-    """Exact check of x^y = y^x for positive rationals: y vec(x) = x vec(y)."""
+    """Exact check of x^y = y^x for positive rationals, on a coprime base (_holds).
+
+    A value at or below 0 is refused first, x before y.
+    """
     x, y = Fraction(x), Fraction(y)
-    return _cancels(*_terms([[(x, y)], [(y, x)]]))
+    check_positive(x)
+    check_positive(y)
+    return _holds([(x, y)], [(y, x)])
 
 
 def general_solution(a: Fraction, b: Fraction, c: Fraction) -> SolutionTuple:
@@ -261,22 +233,28 @@ def _coprime_base(numbers: set[int]) -> list[int]:
     return base
 
 
-def verify_fractions(x: Fraction, y: Fraction, v: Fraction, w: Fraction) -> bool:
-    """Exact check of x^y y^x = v^w w^v for four positive rationals, on a coprime base.
+def _holds(left, right) -> bool:
+    """Whether prod a^b over the (a, b) pairs of left equals that over right; a and b positive rationals.
 
-    The vectors are taken over the _coprime_base of the eight numerators and
-    denominators (module docstring), so no number is factored.  A value at
-    or below 0 is refused first, in x, y, v, w order.
+    The vectors vec(a) are taken over the _coprime_base of every a's
+    numerator and denominator (module docstring), so no number is factored,
+    and the b are the multipliers of _cancels.
     """
-    values = [Fraction(q) for q in (x, y, v, w)]
+    sides = (left, right)
+    base = _coprime_base({m for side in sides for a, _ in side for m in (a.numerator, a.denominator)})
+    vec = lambda a: [(q, _strip(a.numerator, q)[1] - _strip(a.denominator, q)[1]) for q in base]
+    return _cancels(*([(b, vec(a)) for a, b in side] for side in sides))
+
+
+def verify_fractions(x: Fraction, y: Fraction, v: Fraction, w: Fraction) -> bool:
+    """Exact check of x^y y^x = v^w w^v for four positive rationals, on a coprime base (_holds).
+
+    A value at or below 0 is refused first, in x, y, v, w order.
+    """
+    x, y, v, w = values = [Fraction(q) for q in (x, y, v, w)]
     for q in values:
         check_positive(q)
-    base = _coprime_base({m for q in values for m in (q.numerator, q.denominator)})
-    vx, vy, vv, vw = (
-        [(b, _strip(q.numerator, b)[1] - _strip(q.denominator, b)[1]) for b in base] for q in values
-    )
-    x, y, v, w = values
-    return _cancels([(y, vx), (x, vy)], [(w, vv), (v, vw)])
+    return _holds([(x, y), (y, x)], [(v, w), (w, v)])
 
 
 def manual_tuple(x: Fraction, y: Fraction, v: Fraction, w: Fraction) -> SolutionTuple:

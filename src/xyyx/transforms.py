@@ -7,12 +7,14 @@ Both identities compare two sides, each a product of direct products F(A, B):
 F(X, Y) against F(Y, X) for a pair, F(X, Y) F(Y, X) against F(V, W) F(W, V)
 for a quad.  Both verdicts read these sides.  The exact one maps each F(A, B)
 to the term a^b, with a = 1/(1-A) and b = 1/(1-B), and compares the two
-products of terms on exponent vectors: the scalar identity x^y = y^x or
-x^y y^x = v^w w^v, checkable independently of any numerics.  The numeric one
-evaluates every F(A, B) on one N x N box; a quad first checks that its summed
-tail bound at N reaches the fixed TOLERANCE of 1e-8, and falls back to the
-exact verdict if not.  A comparison whose evaluations would enumerate more
-than the fixed POINT_BUDGET of 10^7 lattice points is refused.
+products of terms on exponent vectors over a coprime base of the a, as
+verify_fractions does: the scalar identity x^y = y^x or x^y y^x = v^w w^v,
+checkable independently of any numerics and with nothing factored.  The
+numeric one evaluates every F(A, B) on one N x N box; a quad first checks
+that its summed tail bound at N reaches the fixed TOLERANCE of 1e-8, and
+falls back to the exact verdict if not.  A comparison whose evaluations
+would enumerate more than the fixed POINT_BUDGET of 10^7 lattice points is
+refused.
 """
 
 from __future__ import annotations
@@ -25,15 +27,7 @@ from mpmath import iv, mp
 
 from .errors import OversizedValue, PointBudgetExceeded
 from .exact import check_precision, digit_limit, exceeds_digits, iv_precision, log2_bounds, log_interval
-from .solutions import (
-    ScalarIdentity,
-    SolutionTuple,
-    _cancels,
-    _side,
-    _terms,
-    euler_solution,
-    general_solution,
-)
+from .solutions import SolutionTuple, _holds, euler_solution, general_solution
 from .vpv import (
     Convention,
     EvalReport,
@@ -71,16 +65,6 @@ class TransformInstance:
         if self.kind == "pair":
             return [(X, Y)], [(Y, X)]
         return [(X, Y), (Y, X)], [(V, W), (W, V)]
-
-    def _scalar_terms(self) -> list[list]:
-        """Each side's F(A, B) as the term a^b of the scalar identity, a = 1/(1-A) and b = 1/(1-B)."""
-        value = {q: 1 / (1 - q) for q in self.parameters()}
-        return _terms([[(value[A], value[B]) for A, B in side] for side in self.sides()])
-
-    @property
-    def scalar_identity(self) -> ScalarIdentity:
-        """The scalar identity behind the parameters, rebuilt on every access."""
-        return ScalarIdentity(*map(_side, self._scalar_terms()))
 
 
 @dataclass(frozen=True)
@@ -178,12 +162,14 @@ def manual_quad(X: Fraction, Y: Fraction, V: Fraction, W: Fraction) -> Transform
 
 
 def closed_equality_check(t: TransformInstance) -> bool:
-    """Exact closed-form equality behind the instance, recomputed from scratch.
+    """Exact equality of the scalar identity behind the instance, recomputed from scratch.
 
-    The verdict of t.scalar_identity, decided on exponent vectors without
-    building either side.
+    Each side's F(A, B) becomes the term a^b with a = 1/(1-A) and
+    b = 1/(1-B), and the two products of terms are compared by
+    solutions._holds, on a coprime base of the a: nothing is factored.
     """
-    return _cancels(*t._scalar_terms())
+    value = {q: 1 / (1 - q) for q in t.parameters()}
+    return _holds(*([(value[A], value[B]) for A, B in side] for side in t.sides()))
 
 
 def estimated_points(evaluations: int, N: int) -> int:

@@ -321,6 +321,29 @@ class TestOversizedValues:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("command", [("vpv-eval", "1/2", "3/4"), ("digits", "2", "2"), ("transform", "--n", "1")])
+    def test_env_precision_is_named_as_the_flag_is(self, capsys, monkeypatch, command):
+        # it was read by int(), which called it not an integer and echoed all 4301 digits
+        monkeypatch.setenv("VPV_PRECISION_BITS", BIG)
+        code, doc = run_json(capsys, *command)
+        assert code == 1 and doc["message"] == "VPV_PRECISION_BITS has more than 4300 decimal digits"
+        monkeypatch.setenv("VPV_PRECISION_BITS", "abc")
+        code, doc = run_json(capsys, *command)
+        assert code == 1 and doc["message"] == "VPV_PRECISION_BITS must be an integer, got 'abc'"
+
+    def test_env_precision_at_a_lower_limit(self, capsys, monkeypatch):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            monkeypatch.setenv("VPV_PRECISION_BITS", "1" + "0" * 640)
+            code, doc = run_json(capsys, "vpv-eval", "1/2", "3/4")
+            assert code == 1 and doc["message"] == "VPV_PRECISION_BITS has more than 640 decimal digits"
+            monkeypatch.setenv("VPV_PRECISION_BITS", "+000_128")  # within the limit, int() reads it
+            code, doc = run_json(capsys, "vpv-eval", "1/2", "3/4", "--truncation", "5")
+            assert code == 0 and doc["inputs"]["precision_bits"] == 128
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     @pytest.mark.parametrize("argv", [("euler", "x"), ("euler", BIG + "x"), ("vpv-eval", "1/2", "3/4", "--truncation", "1.5")])
     def test_other_malformed_integers_stay_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -364,9 +387,8 @@ class TestOversizedValues:
         # an early refusal names what digit_count and rendering would
         from xyyx import cli
 
-        quad_identity = cli.quad_identity
         built = []
-        monkeypatch.setattr(cli, "quad_identity", lambda t: built.append(t) or quad_identity(t))
+        monkeypatch.setattr(cli, "digit_count", lambda u: built.append(u) or digit_count(u))
         pairs = [(b, c) for b in range(96, 320, 16) for c in range(96, 320, 16)]
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
@@ -379,7 +401,8 @@ class TestOversizedValues:
                 if any(e < 0 for _, e in t.x.factors):
                     assert code == 1 and "is not integer-valued" in doc["message"], (b, c)
                     continue
-                digits = digit_count(quad_identity(t).left)
+                x, y, _, _ = t.as_fractions()
+                digits = digit_count(t.x**y * t.y**x)
                 try:
                     expected = {"digits": int(str(digits))}
                 except ValueError:
@@ -559,6 +582,20 @@ class TestDigitLimitOff:
         finally:
             sys.set_int_max_str_digits(limit)
         assert records[0] == records[1]
+
+    def test_env_precision_is_named_at_the_default(self, capsys, monkeypatch):
+        # int() reads all 4301 digits with the limit off, and the precision
+        # ceiling's message echoed them
+        monkeypatch.setenv("VPV_PRECISION_BITS", BIG)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            records = [run(capsys, "vpv-eval", *flag, "1/2", "3/4") for flag in ((), ("--json",))]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        message = "VPV_PRECISION_BITS has more than 4300 decimal digits"
+        assert records[0] == (1, f"command: vpv-eval  [error]\nmessage: {message}\n")
+        assert records[1][0] == 1 and json.loads(records[1][1])["message"] == message
 
 
 class TestVpvEval:

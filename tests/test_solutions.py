@@ -22,15 +22,12 @@ from xyyx.errors import (
 )
 from xyyx.exact import ONE, PrimePowerProduct
 from xyyx.solutions import (
-    ScalarIdentity,
     SolutionTuple,
     classify_triviality,
     euler_solution,
     general_solution,
     manual_tuple,
     numeric_verify,
-    pair_identity,
-    quad_identity,
     rational_family,
     search_integer_solutions,
     verify_fractions,
@@ -442,8 +439,9 @@ class TestCanonicalExponents:
                     assert all(type(e) is int for _, e in u.factors), (b, c, u)
 
 
-# The algebra rational_family and quad_identity used before their one-pass
-# builders: powers and products of whole prime-power products.
+# The algebra rational_family used before its one-pass builder, and with
+# which cli.cmd_digits builds its common value: powers and products of whole
+# prime-power products.
 def reference_family(b: int, c: int) -> SolutionTuple:
     vb, vc = PrimePowerProduct.from_int(b), PrimePowerProduct.from_int(c)
     y = vb**c * vc**b
@@ -451,9 +449,15 @@ def reference_family(b: int, c: int) -> SolutionTuple:
     return SolutionTuple(x, y, vb * x, vc * x, params=(F(b), F(c)))
 
 
-def reference_identity(t: SolutionTuple) -> ScalarIdentity:
+def reference_identity(t: SolutionTuple) -> tuple[PrimePowerProduct, PrimePowerProduct]:
+    """The sides x^y y^x and v^w w^v of a rational-valued tuple."""
     xq, yq, vq, wq = (u.to_fraction() for u in t.values())
-    return ScalarIdentity((t.x**yq) * (t.y**xq), (t.v**wq) * (t.w**vq))
+    return (t.x**yq) * (t.y**xq), (t.v**wq) * (t.w**vq)
+
+
+def pair_sides(x: F, y: F) -> tuple[PrimePowerProduct, PrimePowerProduct]:
+    """The sides x^y and y^x of a pair of positive rationals."""
+    return PrimePowerProduct.from_fraction(x) ** y, PrimePowerProduct.from_fraction(y) ** x
 
 
 def canonical(u: PrimePowerProduct) -> bool:
@@ -492,18 +496,19 @@ class TestOnePassBuilders:
                             tuples.append(t)
         assert len(tuples) > 950
         for t in tuples:
-            identity = quad_identity(t)
-            assert identity == reference_identity(t), t
-            assert canonical(identity.left) and canonical(identity.right), t
+            left, right = reference_identity(t)
+            assert verify_product_equation(t) is verify_fractions(*t.as_fractions()) is (left == right), t
+            assert canonical(left) and canonical(right), t
 
     def test_false_tuples_stay_false(self):
         assert not verify_fractions(F(2), F(3), F(2), F(4))
-        assert not quad_identity(manual_tuple(F(2), F(3), F(2), F(4))).holds
+        assert not verify_product_equation(manual_tuple(F(2), F(3), F(2), F(4)))
         x, y, v, w = rational_family(6, 2).as_fractions()
         assert verify_fractions(x, y, v, w)
         for bumped in ((x + 1, y, v, w), (x, y + 1, v, w), (x, y, v + 1, w), (x, y, v, w + 1)):
-            assert not quad_identity(manual_tuple(*bumped)).holds, bumped
-            assert not reference_identity(manual_tuple(*bumped)).holds, bumped
+            assert not verify_product_equation(manual_tuple(*bumped)), bumped
+            left, right = reference_identity(manual_tuple(*bumped))
+            assert left != right, bumped
 
 
 class TestOnePassCounts:
@@ -546,7 +551,7 @@ class TestOnePassCounts:
         for t, multiplied in ((family, list(family.values())), (manual, [])):
             calls.clear()
             first = t.as_fractions()
-            assert verify_product_equation(t) and quad_identity(t).holds
+            assert verify_product_equation(t) and verify_fractions(*t.as_fractions())
             assert t.as_fractions() is first
             assert calls == multiplied
 
@@ -561,7 +566,7 @@ class TestOnePassCounts:
             with pytest.raises(NonRationalTuple):
                 t.as_fractions()
             with pytest.raises(NonRationalTuple):
-                quad_identity(t)
+                verify_product_equation(t)
 
 
 class TestRowsFromTheirConstruction:
@@ -737,13 +742,15 @@ class TestDifferenceVerdicts:
     @settings(max_examples=300, deadline=None)
     @given(terms, terms)
     def test_pairs_match_the_sides(self, x, y):
-        assert verify_power_equation(x, y) == pair_identity(x, y).holds
+        left, right = pair_sides(x, y)
+        assert verify_power_equation(x, y) == (left == right)
 
     @settings(max_examples=300, deadline=None)
     @given(terms, terms, terms, terms)
     def test_tuples_match_the_sides(self, x, y, v, w):
         t = manual_tuple(x, y, v, w)
-        assert verify_product_equation(t) == verify_fractions(x, y, v, w) == quad_identity(t).holds
+        left, right = reference_identity(t)
+        assert verify_product_equation(t) == verify_fractions(x, y, v, w) == (left == right)
 
     @settings(max_examples=100, deadline=None)
     @given(terms, terms)
@@ -753,7 +760,8 @@ class TestDifferenceVerdicts:
     def test_euler_rows_are_true(self):
         for n in range(1, 201):
             x, y = euler_solution(n)
-            assert verify_power_equation(x, y) and pair_identity(x, y).holds, n
+            left, right = pair_sides(x, y)
+            assert verify_power_equation(x, y) and left == right, n
             assert not verify_power_equation(x, y * (n + 1) / n), n  # x^(y') = y'^x needs n (1 + 1/n)^2 = n + 2
 
     def test_family_tuples_are_true_and_bumped_ones_mostly_false(self):
@@ -762,10 +770,12 @@ class TestDifferenceVerdicts:
         assert len(tuples) > 90
         still_true = set()
         for t in tuples:
-            assert verify_product_equation(t) and quad_identity(t).holds, t
+            left, right = reference_identity(t)
+            assert verify_product_equation(t) and left == right, t
             x, y, v, w = t.as_fractions()
             bumped = manual_tuple(x, y, v, w + 1)
-            assert verify_product_equation(bumped) == quad_identity(bumped).holds, t
+            left, right = reference_identity(bumped)
+            assert verify_product_equation(bumped) == (left == right), t
             if verify_product_equation(bumped):
                 still_true.add(bumped.as_fractions())
         # a = 2, b = 3, c = 2 bumps to the paper's (1/6, 1/3, 1/2, 4/3)

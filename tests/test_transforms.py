@@ -3,18 +3,19 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from xyyx import transforms
+from xyyx import exact, solutions, transforms
 from xyyx.errors import DomainViolation, NonRationalTuple, PointBudgetExceeded
 from xyyx.exact import PrimePowerProduct, iv_precision
 from xyyx.solutions import (
     euler_solution,
     general_solution,
-    pair_identity,
-    quad_identity,
     verify_fractions,
     verify_power_equation,
+    verify_product_equation,
 )
 from xyyx.transforms import (
     TransformInstance,
@@ -28,6 +29,14 @@ from xyyx.transforms import (
     verify_quad_transform,
 )
 from xyyx.vpv import Convention, Form, eval_product, tail_bound
+
+
+def factored_verdict(inst: TransformInstance) -> bool:
+    """closed_equality_check's verdict on prime factorizations: _cancels over each a's from_fraction factors."""
+    value = {q: 1 / (1 - q) for q in inst.parameters()}
+    return solutions._cancels(
+        *([(value[B], PrimePowerProduct.from_fraction(value[A]).factors) for A, B in side] for side in inst.sides())
+    )
 
 
 class TestPairFromEuler:
@@ -45,21 +54,21 @@ class TestPairFromEuler:
 
     def test_scalar_identity_holds_by_construction(self):
         for n in range(1, 7):
-            inst = pair_from_euler(n)
-            assert inst.scalar_identity.holds
-            assert closed_equality_check(inst)
+            assert closed_equality_check(pair_from_euler(n))
 
     def test_scalar_identity_is_the_solution_identity(self):
-        # rebuilt from X, Y through x = 1/(1-X), it equals the identity of (x, y)
+        # rebuilt from X, Y through x = 1/(1-X), it is the identity of (x, y)
         for n in range(1, 21):
-            assert pair_from_euler(n).scalar_identity == pair_identity(*euler_solution(n))
+            inst, values = pair_from_euler(n), euler_solution(n)
+            assert tuple(1 / (1 - q) for q in inst.parameters()) == values
+            assert closed_equality_check(inst) is verify_power_equation(*values) is True
 
 
 class TestQuadFromFamily:
     def test_8_6_2_parameters(self):
         inst = quad_from_family(F(8), F(6), F(2))
         assert inst.parameters() == (F(287, 288), F(2303, 2304), F(1727, 1728), F(575, 576))
-        assert inst.scalar_identity.holds
+        assert closed_equality_check(inst)
 
     def test_3_2_1_parameters(self):
         inst = quad_from_family(F(3), F(2), F(1))
@@ -89,7 +98,9 @@ class TestQuadFromFamily:
     @pytest.mark.parametrize("abc", [(3, 2, 1), (4, 2, 2), (5, 3, 2), (8, 6, 2), (9, 6, 3)])
     def test_scalar_identity_is_the_solution_identity(self, abc):
         a, b, c = map(F, abc)
-        assert quad_from_family(a, b, c).scalar_identity == quad_identity(general_solution(a, b, c))
+        inst, t = quad_from_family(a, b, c), general_solution(a, b, c)
+        assert tuple(1 / (1 - q) for q in inst.parameters()) == t.as_fractions()
+        assert closed_equality_check(inst) is verify_product_equation(t) is True
 
     def test_instance_holds_only_parameters(self):
         fields = TransformInstance.__dataclass_fields__
@@ -106,7 +117,7 @@ class TestClosedEqualityCheck:
     def test_manual_mismatch(self):
         inst = manual_quad(F(1, 2), F(3, 4), F(1, 2), F(1, 2))
         assert closed_equality_check(inst) is False
-        assert not inst.scalar_identity.holds
+        assert not verify_fractions(*[1 / (1 - q) for q in inst.parameters()])
 
     def test_verdict_and_identity_agree_with_the_solution_checks(self):
         # pairs and quads, true and false, V = W among them; the reference is
@@ -125,7 +136,7 @@ class TestClosedEqualityCheck:
             check = verify_power_equation if inst.kind == "pair" else verify_fractions
             verdict = check(*values)
             assert closed_equality_check(inst) is verdict, inst
-            assert inst.scalar_identity.holds is verdict, inst
+            assert factored_verdict(inst) is verdict, inst
             verdicts.add((inst.kind, verdict))
         assert verdicts == {("pair", True), ("pair", False), ("quad", True), ("quad", False)}
 
@@ -156,7 +167,7 @@ class TestVerifyPairTransform:
     def test_printed_erratum_instance_fails(self):
         # the (1/2, 1/4) vs (1/4, 1/2) comparison: not a valid transform pair
         inst = manual_pair(F(1, 2), F(1, 4))
-        assert not inst.scalar_identity.holds
+        assert closed_equality_check(inst) is False
         rep = verify_pair_transform(inst, 150)
         assert rep.verdict is False
         with mp.workprec(280):
@@ -372,3 +383,47 @@ class TestSharedTailTerms:
         # (4, 2, 2) has V = W, so three distinct parameters
         assert len(terms) == len(set(terms)) == distinct
         assert not tails
+
+
+# Instances whose values 1/(1 - q) the factorizing reference can split
+TRUE_INSTANCES = [pair_from_euler(n) for n in range(1, 61)] + [quad_from_family(*map(F, abc)) for abc in BENCH_QUADS]
+
+
+class TestCoprimeBaseVerdict:
+    """closed_equality_check decides on a coprime base exactly as prime factorizations do, factoring nothing."""
+
+    def test_true_instances_and_the_erratum(self):
+        for inst in TRUE_INSTANCES:
+            assert closed_equality_check(inst) is factored_verdict(inst) is True, inst
+        erratum = manual_pair(F(1, 2), F(1, 4))
+        assert closed_equality_check(erratum) is factored_verdict(erratum) is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(TRUE_INSTANCES), st.integers(0, 3), st.sampled_from([F(1), F(2), F(3, 2), F(2, 3), F(7)]))
+    def test_bumped_instances_match_the_factored_verdict(self, inst, i, bump):
+        # a bump multiplies one value 1/(1 - q), so that the reference can factor it
+        values = [1 / (1 - q) for q in inst.parameters()]
+        values[i % len(values)] *= bump
+        if min(values) <= F(1, 2):  # the parameter would leave (-1, 1)
+            return
+        params = [(u - 1) / u for u in values]
+        bumped = manual_pair(*params) if inst.kind == "pair" else manual_quad(*params)
+        assert closed_equality_check(bumped) is factored_verdict(bumped)
+        if bump == 1:
+            assert closed_equality_check(bumped) is True
+
+    def test_counted_factorizations(self, monkeypatch):
+        calls = []
+        factorize = exact.factorize
+        counted = lambda n: calls.append(n) or factorize(n)
+        for module in (exact, solutions):
+            monkeypatch.setattr(module, "factorize", counted)
+        for n in range(1, 21):
+            inst = pair_from_euler(n)
+            assert closed_equality_check(inst)
+            assert verify_pair_transform(inst, 5, precision_bits=64).exact_verdict is True
+        assert calls == []
+        # general_solution factors the numerator and denominator of each of a, b and c
+        inst = quad_from_family(F(3), F(2), F(1))
+        assert closed_equality_check(inst) and verify_quad_transform(inst, 5, precision_bits=64).exact_verdict
+        assert calls == [3, 1, 2, 1, 1, 1]
