@@ -84,12 +84,19 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _INTEGER_RE = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")  # what int() reads
 
 
+def _shown(text: str) -> str:
+    """repr(text) for an error message, or for text of more than digit_limit() characters its length."""
+    if len(text) > digit_limit():
+        return f"a value of {len(text)} characters"
+    return repr(text)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" with optional sign; decimals are rejected, and so is a
     term of more than digit_limit() digits."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
-        raise ValueError(f"not a rational of the form p/q or p: {text!r}")
+        raise ValueError(f"not a rational of the form p/q or p: {_shown(text)}")
     limit = digit_limit()
     for term, digits in zip(("numerator", "denominator"), s.lstrip("+-").split("/")):
         if len(digits) > limit:
@@ -97,7 +104,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(s)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {_shown(text)}") from None
 
 
 def _read_int(text: str, what: str):
@@ -115,12 +122,17 @@ def _read_int(text: str, what: str):
 
 
 def _integer(name: str):
-    """The argparse type of the integer argument name: _read_int, naming it "the argument name"."""
+    """The argparse type of the integer argument name: _read_int, naming it "the argument name".
+
+    Text that int() does not read is argparse's usage error "invalid int value".
+    """
 
     def parse(text: str):
-        return _read_int(text, f"the argument {name}")
+        try:
+            return _read_int(text, f"the argument {name}")
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
 
-    parse.__name__ = "int"  # argparse names the type in its usage errors
     return parse
 
 
@@ -568,7 +580,7 @@ def _env_precision() -> int:
     try:
         bits = _read_int(text, PRECISION_ENV)
     except ValueError:
-        raise ValueError(f"{PRECISION_ENV} must be an integer, got {text!r}") from None
+        raise ValueError(f"{PRECISION_ENV} must be an integer, got {_shown(text)}") from None
     if isinstance(bits, OversizedValue):
         raise bits
     return bits

@@ -23,16 +23,15 @@ their t = X^j Y^k are added up and the column is multiplied once by
 1 - sum t, whose log is their sum of log(1 - t) to within the rounding
 already allowed.  The columns of each doubling chain k = m, 2m, 4m, ...
 (m odd) are folded into one number whose log, divided by the chain's last
-k, is the chain's sum of log(column)/k.  The chain ends are paired, each
-pair (a, b) raised to the powers lcm(a, b)/a and lcm(a, b)/b and
-multiplied, so that one log divided by lcm(a, b) gives both chains' terms;
-those terms and the two denominator terms are summed exactly with one
-final rounding (mp.fsum).  An evaluation thus takes about one mpmath log
-per four columns of the box, one for the axis factor 1 - Y, and log b and
-log d when some column has a prefix, and no other mpmath arithmetic per
-point.  The a-priori rounding and pruning error is
-below 2^-(p+8) whenever S + L < 2^21, with L = log(1/(1-|Y|)) and
-S = |X|/(1-|X|) L; eval_product derives the budget.
+k, is the chain's sum of log(column)/k.  Consecutive chain ends a, a + 1
+are paired as (Q_a Q_(a+1))^a Q_a, so that one log divided by a (a + 1)
+gives both chains' terms; those terms and the two denominator terms are
+summed exactly with one final rounding (mp.fsum).  An evaluation thus
+takes about one mpmath log per four columns of the box, one for the axis
+factor 1 - Y, and log b and log d when some column has a prefix, and no
+other mpmath arithmetic per point.  The a-priori rounding and pruning
+error is below 2^-(p+8) whenever S + L < 2^21, with L = log(1/(1-|Y|))
+and S = |X|/(1-|X|) L; eval_product derives the budget.
 
 Two region conventions are supported.  "strict" is the box j, k >= 1 only and
 gives the closed form (1-Y)^(X/(1-X)) for the direct product; "axis" adds the
@@ -61,14 +60,6 @@ LOG_GUARD_BITS = 5
 # eval_product takes exact prefixes only if column 1's reaches this j: fewer
 # exact factors save less than the two logs of the denominators cost.
 PREFIX_MIN_J = 16
-# eval_product pairs the chain ends a < b whose ratio b/a is s/r in lowest
-# terms with s <= PAIR_MAX_RATIO first: the powers lcm(a, b)/a = s and
-# lcm(a, b)/b = r of such a pair then take at most three squarings each.
-PAIR_MAX_RATIO = 15
-# those ratios s/r, by ascending s; as b <= K < 2a for ends in (K/2, K], r > s/2
-_PAIR_RATIOS = tuple(
-    (s, r) for s in range(3, PAIR_MAX_RATIO + 1) for r in range(s // 2 + 1, s) if math.gcd(r, s) == 1
-)
 
 
 class Convention(str, Enum):
@@ -292,28 +283,6 @@ def _power(q: tuple[int, int], n: int, P: int) -> tuple[int, int]:
     return m, e
 
 
-def _end_pairs(K: int) -> list[tuple[int, ...]]:
-    """The chain ends k in (K/2, K] in pairs (a, b), a < b, and one single (k,) if their count is odd.
-
-    Pairs whose ratio b/a is one of _PAIR_RATIOS come first, in its order,
-    so that the powers lcm(a, b)/a = s and lcm(a, b)/b = r stay small.  The
-    ends left over pair in ascending order.
-    """
-    free = bytearray(K // 2 + 1) + b"\1" * (K - K // 2)  # free[k]: k not yet paired
-    pairs: list[tuple[int, ...]] = []
-    for s, r in _PAIR_RATIOS:
-        for g in range(K // (2 * r) + 1, K // s + 1):  # K/2 < g r < g s <= K
-            a, b = g * r, g * s
-            if free[a] and free[b]:
-                free[a] = free[b] = 0
-                pairs.append((a, b))
-    rest = [k for k in range(K // 2 + 1, K + 1) if free[k]]
-    pairs += zip(rest[::2], rest[1::2])
-    if len(rest) & 1:
-        pairs.append((rest[-1],))
-    return pairs
-
-
 def eval_product(
     X: Fraction,
     Y: Fraction,
@@ -379,14 +348,14 @@ def eval_product(
     log(Q_k)/k there is, term for term, the chain's sum of log(P_k)/k (of
     log(P_k D_k)/k, with D_k the prefix denominators of column k).
 
-    Paired chain ends.  _end_pairs pairs the ceil(K/2) chain ends: first
-    the a < b whose ratio b/a is s/r in lowest terms with
-    s <= PAIR_MAX_RATIO, so that the powers stay small, then the rest in
-    ascending order, with one end left single when their count is odd.  A
-    pair is the virtual column V = Q_a^(q/a) Q_b^(q/b), q = lcm(a, b), each
-    power taken by _power and their product cut back to P bits, so that
-    log(V)/q is the sum of the two chains' terms; a single k is V = Q_k,
-    q = k.  Each V becomes one mpf (exactly, as it has P bits).  With
+    Paired chain ends.  The ceil(K/2) chain ends pair in ascending order,
+    (a, a + 1) for a = floor(K/2) + 1, floor(K/2) + 3, ..., with K left
+    single when their count is odd.  A pair is the virtual column
+    V = (Q_a Q_(a+1))^a Q_a = Q_a^(a+1) Q_(a+1)^a, q = a (a + 1), as
+    consecutive ends are coprime: the product Q_a Q_(a+1) is cut back to P
+    bits, raised to the a by _power and multiplied by Q_a, so that log(V)/q
+    is the sum of the two chains' terms; a single K is V = Q_K, q = K.
+    Each V becomes one mpf (exactly, as it has P bits).  With
     W = R_b bitlen(b) + R_d bitlen(d), the terms log(V)/q,
     -R_b log b and -R_d log d cancel from magnitudes up to W down to the
     sum, so they are taken at w = p + GUARD_BITS + bitlen(ceil W) +
@@ -450,10 +419,12 @@ def eval_product(
       fold doubles the relative error Q_(k/2) carries and adds its own cut,
       so the chain from m to m 2^r errs by below 2 eps (2^r - 1) relative
       and its term log(Q_k)/k by below 2 eps/m; over all chains that is
-      2 eps H_Nk.  A pair's powers carry Q_a's and Q_b's errors into
-      log(V)/q as log(Q_a)/a and log(Q_b)/b do, and _power's cuts and the
-      product's add below 2 eps (q/a - 1) + 2 eps (q/b - 1) + 2 eps
-      relative, so below 2 eps (1/a + 1/b) to log(V)/q: below
+      2 eps H_Nk.  A pair (a, b), b = a + 1, carries Q_a's and Q_b's
+      errors into log(V)/q as log(Q_a)/a and log(Q_b)/b do.  The cut of
+      Q_a Q_b, raised to the a, adds below 2 eps a, _power's cuts below
+      2 eps (a - 1) and the last multiply's cut below 2 eps: 4a eps =
+      2 eps (q/a - 1) + 2 eps (q/b - 1) + 2 eps relative, so below
+      2 eps (1/a + 1/b) to log(V)/q: below
       2 eps sum 1/k <= 2 eps over the ends k in (K/2, K].  Pairs need K >= 3,
       and then 2 eps (Nj + 1) H_Nk + 2 eps <= 2 eps (Nj + Nk) H_Nk <=
       u H_Nk/2;
@@ -583,18 +554,21 @@ def eval_product(
         folded.append((c, c_exp))
     chains = []  # (q, V) with log(V)/q the sum of its ends' log(Q_k)/k
     with mp.workprec(P):  # wide enough to hold each P-bit V exactly
-        for ends in _end_pairs(len(folded)):
-            lcm = math.lcm(*ends)
-            v, v_exp = 1, 0
-            for k in ends:
-                m, e = _power(folded[k - 1], lcm // k, P)
-                v, v_exp = v * m, v_exp + e
+        K = len(folded)
+        for a in range(K // 2 + 1, K, 2):  # the ends a, a + 1 in (K/2, K]
+            (m, e), (n, f) = folded[a - 1], folded[a]
+            v = m * n
             sh = v.bit_length() - P
-            chains.append((lcm, mp.mpf((v >> sh, v_exp + sh))))
+            v, v_exp = _power((v >> sh, e + f + sh), a, P)  # (Q_a Q_(a+1))^a
+            v *= m
+            sh = v.bit_length() - P
+            chains.append((a * (a + 1), mp.mpf((v >> sh, v_exp + e + sh))))
+        if (K - K // 2) & 1:  # K is left single
+            chains.append((K, mp.mpf(folded[-1])))
     # the terms cancel from about W = R_b bitlen(b) + R_d bitlen(d) down to the sum
     wide = -(-(rb * bx + R_d * by * rq) // rq)  # ceil(W)
     with mp.workprec(prec + (wide and wide.bit_length() + LOG_GUARD_BITS)):
-        terms = [mp.log(v) / lcm for lcm, v in chains]
+        terms = [mp.log(v) / q for q, v in chains]
         if rb:
             terms.append(-mp.log(xd) * rb / rq)
         if R_d:

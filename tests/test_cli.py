@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xyyx.cli import _render, build_parser, main, mpf_hex, parse_rational, render_real
+from xyyx.cli import _render, build_parser, emit, main, mpf_hex, parse_rational, render_real
 from xyyx.errors import OversizedValue
 from xyyx.exact import PrimePowerProduct, digit_count
 from xyyx.solutions import general_solution, rational_family, search_integer_solutions
@@ -25,6 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
 HARD_SEMIPRIME = "300000000000000001940000000000000002091"
 
 BIG = "1" + "0" * 4300  # 10^4300, one digit past the default int-to-str limit
+MALFORMED = "1" * 5000 + "x"  # named by its length, not echoed
 
 
 def run(capsys, *argv):
@@ -197,6 +198,26 @@ class TestVerify:
     def test_malformed_fraction(self, capsys):
         code, doc = run_json(capsys, "verify", "1.5", "2", "3", "4")
         assert code == 1 and doc["status"] == "error"
+        assert doc["message"] == "not a rational of the form p/q or p: '1.5'"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", MALFORMED, "1", "1", "1"), "not a rational of the form p/q or p: a value of 5001 characters"),
+            (("vpv-eval", "1/2", MALFORMED), "not a rational of the form p/q or p: a value of 5001 characters"),
+            (("family", "2", "2", "--a", MALFORMED), "not a rational of the form p/q or p: a value of 5001 characters"),
+            (("transform", "--abc", "1", MALFORMED, "1"), "not a rational of the form p/q or p: a value of 5001 characters"),
+            # each term is within the digit limit, the whole text is not
+            (("verify", "0" * 3000 + "/" + "0" * 3000, "1", "1", "1"), "zero denominator in a value of 6001 characters"),
+        ],
+        ids=["verify", "vpv-eval", "family", "transform", "zero-denominator"],
+    )
+    def test_long_malformed_rational_is_named_by_its_length(self, capsys, argv, message):
+        code, out = run(capsys, argv[0], "--json", *argv[1:])
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "error"
+        assert doc["message"] == message
+        assert len(doc["message"]) < 200 and len(out) < 1000
 
     def test_nonpositive(self, capsys):
         # "--" keeps argparse from reading the leading minus as a flag
@@ -330,6 +351,9 @@ class TestOversizedValues:
         monkeypatch.setenv("VPV_PRECISION_BITS", "abc")
         code, doc = run_json(capsys, *command)
         assert code == 1 and doc["message"] == "VPV_PRECISION_BITS must be an integer, got 'abc'"
+        monkeypatch.setenv("VPV_PRECISION_BITS", MALFORMED)
+        code, doc = run_json(capsys, *command)
+        assert code == 1 and doc["message"] == "VPV_PRECISION_BITS must be an integer, got a value of 5001 characters"
 
     def test_env_precision_at_a_lower_limit(self, capsys, monkeypatch):
         limit = sys.get_int_max_str_digits()
@@ -344,12 +368,28 @@ class TestOversizedValues:
         finally:
             sys.set_int_max_str_digits(limit)
 
-    @pytest.mark.parametrize("argv", [("euler", "x"), ("euler", BIG + "x"), ("vpv-eval", "1/2", "3/4", "--truncation", "1.5")])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("euler", "x"),
+            ("euler", BIG + "x"),
+            ("vpv-eval", "1/2", "3/4", "--truncation", "1.5"),
+            ("euler", MALFORMED),
+            ("transform", "--n", MALFORMED),
+        ],
+    )
     def test_other_malformed_integers_stay_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-        assert "invalid int value" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid int value" in err
+        value = argv[-1]
+        if len(value) > sys.get_int_max_str_digits():
+            assert err.endswith(f"invalid int value: a value of {len(value)} characters\n")
+            assert len(err.splitlines()[-1]) < 200
+        else:
+            assert err.endswith(f"invalid int value: {value!r}\n")
 
     @pytest.mark.parametrize(
         "argv, field",
@@ -980,6 +1020,26 @@ class TestOutputModes:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+    def test_closed_stdout_is_pointed_at_devnull(self, monkeypatch, tmp_path):
+        # emit's own branch, in this process: the write fails, and stdout's
+        # descriptor then leads to devnull, not to the file it was
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return fd
+
+        fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert emit('{"status": "ok"}', True, 0) == 1
+            monkeypatch.undo()
+            os.write(fd, b"after")
+        finally:
+            os.close(fd)
+        assert (tmp_path / "out").read_bytes() == b""
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("VPV_PRECISION_BITS", "128")

@@ -85,6 +85,7 @@ class TestFactorize:
             pairs = factorize(m)
             assert multiply_back(pairs) == m
             assert all(is_prime(p) for p, _ in pairs)
+        assert [n for n in range(-3, 14) if is_prime(n)] == [2, 3, 5, 7, 11, 13]
 
     def test_large_semiprime_beyond_trial_division(self):
         n = 1000003 * 1000033

@@ -120,6 +120,7 @@ class TestGeneralSolution:
         assert not t.is_rational
         with pytest.raises(NonRationalTuple):
             t.as_fractions()
+        assert str(t) == "(2^(1/3) * 5^(-1/3), 2^(1/3) * 5^(2/3), 2^(4/3) * 5^(-1/3), 2^(1/3) * 5^(-1/3))"
 
     def test_degenerate_parameters(self):
         with pytest.raises(DegenerateParameters):

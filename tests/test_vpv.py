@@ -17,7 +17,6 @@ from xyyx.vpv import (
     GUARD_BITS,
     Convention,
     Form,
-    _end_pairs,
     _power,
     _power_steps,
     closed_form,
@@ -399,8 +398,20 @@ class TestPowerStepsAndChains:
         X, Y = sx * LONG_X, sy * LONG_Y
         assert_agrees_with_reference(X, Y, Nj, Nk, bits, derived_budget(X, Y, Nj, Nk, bits))
 
-    @pytest.mark.parametrize("Nk", [1, 2, 64, 65])
-    @pytest.mark.parametrize("X,Y", [(F(14, 15), F(-3, 4)), (F(-1, 2), F(2303, 2304))])
+    @pytest.mark.parametrize(
+        "X,Y,Nk",
+        [
+            pytest.param(X, Y, Nk, id=f"X{i}-Y{i}-{Nk}")
+            for i, (X, Y, edges) in enumerate(
+                [
+                    (F(14, 15), F(-3, 4), [1, 2, 64, 65]),
+                    # the pairs reach (699, 700), whose power is 699
+                    (F(-1, 2), F(2303, 2304), [1, 2, 64, 65, 699, 700]),
+                ]
+            )
+            for Nk in edges
+        ],
+    )
     def test_chain_edges(self, monkeypatch, X, Y, Nk):
         # every column runs, so the chains end at Nk/2 < k <= Nk
         assert_agrees_with_reference(X, Y, 9, Nk, 128, derived_budget(X, Y, 9, Nk, 128))
@@ -416,17 +427,6 @@ class TestPowerStepsAndChains:
         # from k = 1 to 64 folds to about 2^-20900: only the exponents keep it
         X = Y = F(2303, 2304)
         assert_agrees_with_reference(X, Y, 30, 64, 128, derived_budget(X, Y, 30, 64, 128))
-
-    def test_every_chain_end_in_one_pair_or_single(self):
-        for K in range(1, 201):
-            groups = _end_pairs(K)
-            chains = (K + 1) // 2
-            assert sorted(k for group in groups for k in group) == list(range(K // 2 + 1, K + 1))
-            assert len(groups) == (chains + 1) // 2, K
-            assert [len(group) for group in groups].count(1) == chains % 2, K
-            assert all(len(group) == 1 or (len(group) == 2 and group[0] < group[1]) for group in groups)
-        # a ratio of 3/2: powers 3 and 2 of the lcm 102
-        assert (34, 51) in _end_pairs(60)
 
     @pytest.mark.parametrize("P", [64, 300])
     def test_power_within_its_bound(self, P):
