@@ -192,8 +192,6 @@ def _leaf(value, limit: int) -> str:
     interpreter refuses it at its own limit, and also when that limit is off.
     """
     if isinstance(value, int):
-        if type(value) is bool:
-            return "true" if value else "false"
         if exceeds_digits(value, limit):
             raise _Unprintable
         return int.__repr__(value)
@@ -228,7 +226,12 @@ def _render(value, precision_bits: int | None) -> str:
 
 def _write(value, precision_bits: int | None, limit: int, newline: str) -> str:
     """_render's text of value, newline being the line break and indent of value's own line."""
-    if isinstance(value, (int, Fraction, PrimePowerProduct)):  # a bool too
+    kind = type(value)  # str and bool by exact type; an Enum member, a str too, keeps its branch
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if isinstance(value, (int, Fraction, PrimePowerProduct)):
         return _leaf(value, limit)
     if isinstance(value, Enum):  # before str: Convention and Form subclass it
         value = value.value
@@ -462,12 +465,14 @@ def cmd_transform(args) -> dict:
 
 
 def cmd_search(args) -> dict:
-    try:  # the first row past the digit limit is refused by the scan, before any row is built
+    # the first row past the digit limit is refused by _integral_pairs, before any row is built,
+    # so each value printed as str(u) is the text its Fraction would give
+    try:
         found = _search_rows(args.b_max, args.c_max, digit_limit())
     except OversizedValue as exc:
         raise _oversized(exc.what) from None
     rows = [
-        {"b": b, "c": c, **dict(zip("xyvw", values)), "verified": verified}
+        {"b": b, "c": c, **{name: str(u) for name, u in zip("xyvw", values)}, "verified": verified}
         for b, c, values, verified in found
     ]
     return _result(

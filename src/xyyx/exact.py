@@ -101,6 +101,16 @@ def _brent_rho(n: int, rng: random.Random, steps: int) -> tuple[int, int]:
             return g, steps
 
 
+def _prime_divisors(n: int) -> list[list[int]]:
+    """The primes dividing each of 0..n, ascending; [] for 0 and 1."""
+    primes_of: list[list[int]] = [[] for _ in range(n + 1)]
+    for q in range(2, n + 1):
+        if not primes_of[q]:
+            for r in range(q, n + 1, q):
+                primes_of[r].append(q)
+    return primes_of
+
+
 def _strip(m: int, p: int) -> tuple[int, int]:
     """m with every factor p divided out, and the exponent of p in m; p >= 2 need not be prime.
 

@@ -42,6 +42,7 @@ from .errors import (
 from .exact import (
     ONE,
     PrimePowerProduct,
+    _prime_divisors,
     _strip,
     check_positive,
     check_precision,
@@ -320,15 +321,6 @@ def _triviality(values: tuple, one) -> TrivialityVerdict:
     return TrivialityVerdict(False, "none")
 
 
-def _family_is_integral(b: int, c: int) -> bool:
-    """Whether (b+c) divides b^c c^b, by the gcd test of search_integer_solutions.
-
-    g = 1 fails it at once, as b+c >= 2.
-    """
-    g = math.gcd(b, c)
-    return g > 1 and pow(g, (b + c).bit_length(), b + c) == 0
-
-
 def _y_exceeds(b: int, c: int, digits: int) -> bool:
     """Whether y = b^c c^b has more than digits decimal digits, by exceeds_digits on y's bit bound."""
     return exceeds_digits(lambda: b**c * c**b, digits, (0, c * b.bit_length() + b * c.bit_length()))
@@ -346,33 +338,54 @@ def check_search_box(b_max: int, c_max: int) -> None:
 
 
 def _integral_pairs(b_max: int, c_max: int, digits: int) -> list[tuple[int, int]]:
-    """The (b, c) of the integral rows of the box, in (b, c)-lexicographic order, from one scan.
+    """The (b, c) of the integral rows of the box, in (b, c)-lexicographic order, from one walk.
 
-    The divisibility of b^c c^b by b+c is decided without building b^c c^b:
-    it holds iff every prime of b+c divides g = gcd(b, c).  A prime p of
-    b+c dividing b^c c^b divides b or c, and so both, as p | b+c.
-    Conversely, if p | g, then v_p(b^c c^b) >= b+c > v_p(b+c).  As
-    v_p(b+c) < bitlen(b+c), the test is g^bitlen(b+c) = 0 (mod b+c).  A box
-    of more than SEARCH_BUDGET pairs is refused (check_search_box).
+    The divisibility of b^c c^b by s = b+c is decided without building
+    b^c c^b: it holds iff every prime of s divides gcd(b, c).  A prime p of
+    s dividing b^c c^b divides b or c, and so both, as p | s.  Conversely,
+    if p | gcd(b, c), then v_p(b^c c^b) >= b+c = s > v_p(s).  As a prime of
+    s that divides b divides c = s - b too, the test is rad(s) | b.  So
+    the rows are found from the member with the smaller bound, m: for each
+    m = 2..min(b_max, c_max), the s in (m, m + max(b_max, c_max)] built
+    only from m's primes (_smooth), which one _prime_divisors sieve lists;
+    m = 1 has none, as s >= 2.  The work grows with the rows and the
+    smaller bound, not with the box.  A box of more than SEARCH_BUDGET
+    pairs is refused first (check_search_box).
 
-    With digits >= 1, the same scan refuses the first row with a value of
-    more than digits decimal digits, raising OversizedValue naming it as
-    "solutions[i].x" or ".y", before any row is built.  As
-    x = y/(b+c) <= v, w < y = b^c c^b, the row's first value past the limit
-    is x or y, and y is built only past its bit-length bound (_y_exceeds).
-    y grows with b and c, so a box whose corner y is short has no row to check.
+    With digits >= 1, the rows are then walked in order, and the first row
+    with a value of more than digits decimal digits is refused, raising
+    OversizedValue naming it as "solutions[i].x" or ".y", before any row is
+    built.  As x = y/(b+c) <= v, w < y = b^c c^b, the row's first value past
+    the limit is x or y, and y is built only past its bit-length bound
+    (_y_exceeds).  y grows with b and c, so a box whose corner y is short
+    has no row to check.
     """
     check_search_box(b_max, c_max)
-    sized = digits and _y_exceeds(b_max, c_max, digits)
-    pairs = []
-    for b in range(1, b_max + 1):
-        for c in range(1, c_max + 1):
-            if _family_is_integral(b, c):
-                if sized and _y_exceeds(b, c, digits):
-                    name = "x" if exceeds_digits(b**c * c**b // (b + c), digits) else "y"
-                    raise OversizedValue(f"solutions[{len(pairs)}].{name}", digits)
-                pairs.append((b, c))
+    low, high = sorted((b_max, c_max))
+    primes_of, pairs = _prime_divisors(low), []
+    for m in range(2, low + 1):
+        for s in _smooth(primes_of[m], m + high):
+            if s > m:
+                pairs.append((m, s - m) if b_max <= c_max else (s - m, m))
+    pairs.sort()
+    if digits and _y_exceeds(b_max, c_max, digits):
+        for i, (b, c) in enumerate(pairs):
+            if _y_exceeds(b, c, digits):
+                name = "x" if exceeds_digits(b**c * c**b // (b + c), digits) else "y"
+                raise OversizedValue(f"solutions[{i}].{name}", digits)
     return pairs
+
+
+def _smooth(primes: list[int], top: int) -> list[int]:
+    """The numbers up to top built only from primes, 1 included, unordered."""
+    found = [1]
+    for p in primes:
+        for i in range(len(found)):
+            n = found[i] * p
+            while n <= top:
+                found.append(n)
+                n *= p
+    return found
 
 
 def _row_values(b: int, c: int) -> tuple[int, int, int, int]:
@@ -387,10 +400,11 @@ def search_integer_solutions(b_max: int, c_max: int, digits: int = 0) -> list[So
 
     The family value x = b^c c^b/(b+c) is integral iff (b+c) divides b^c c^b;
     the other three members are then integer multiples of x.  Results come in
-    (b, c)-lexicographic order.  The box is scanned once, by a gcd test per
-    pair (_integral_pairs), which also refuses a box of more than
-    SEARCH_BUDGET pairs and, with digits >= 1, the first row with a value of
-    more than digits decimal digits, before any tuple is built.
+    (b, c)-lexicographic order.  The rows are found once, from the primes
+    of the member with the smaller bound (_integral_pairs), which also
+    refuses a box of more than SEARCH_BUDGET pairs and, with digits >= 1,
+    the first row with a value of more than digits decimal digits, before
+    any tuple is built.
 
     Each integer among the b, c and b+c of the rows found is factored once,
     when a row first needs it.  Each row carries its values, built from b
@@ -411,30 +425,29 @@ def _row_verdict(b: int, c: int, values: tuple[int, int, int, int], factor) -> b
     """verify_product_equation for the search row (b, c) with int values (x, y, v, w), on its construction.
 
     With a = b + c, vec(x) = c vec(b) + b vec(c) - vec(a), and y = a x,
-    v = b x and w = c x add vec(a), vec(b) and vec(c) to it.  vec(x) is a
-    concatenated (p, e) list of factor(b), factor(c) and factor(a), a
-    factorize; no map is merged or sorted.  _cancels sums
-    y vec(x) + x vec(y) - w vec(v) - v vec(w), which for any four
-    multipliers is (x + y - v - w) vec(x) + x vec(a) - w vec(b) - v vec(c),
-    so vec(x) is walked once.  The values, the ones the row prints, stay
+    v = b x and w = c x add vec(a), vec(b) and vec(c) to it.  The sum
+    y vec(x) + x vec(y) - w vec(v) - v vec(w) is then, for any four
+    multipliers and k = x + y - v - w,
+    (k c - w) vec(b) + (k b - v) vec(c) + (x - k) vec(a), so one _cancels
+    call over factor(b), factor(c) and factor(a), a factorize, decides it;
+    no map is merged or sorted.  The values, the ones the row prints, stay
     the multipliers, so a wrong value gives False.
     """
-    fa, fb, fc = factor(b + c), factor(b), factor(c)
-    vx = [(p, c * e) for p, e in fb] + [(p, b * e) for p, e in fc] + [(p, -e) for p, e in fa]
     x, y, v, w = values
-    return _cancels([(x + y - v - w, vx), (x, fa)], [(w, fb), (v, fc)])
+    k = x + y - v - w
+    return _cancels([(k * c - w, factor(b)), (k * b - v, factor(c)), (x - k, factor(b + c))], [])
 
 
-def _search_rows(b_max: int, c_max: int, digits: int) -> list[tuple[int, int, tuple[Fraction, ...], bool]]:
+def _search_rows(b_max: int, c_max: int, digits: int) -> list[tuple[int, int, tuple[int, ...], bool]]:
     """(b, c, values, verified) for each tuple of search_integer_solutions(b_max, c_max, digits).
 
-    The same one scan and the same values, as Fractions, with no tuple
-    built: each row is decided by _row_verdict, each of b, c and b + c
-    factored once.
+    The same one walk and the same values, as ints, with no tuple built:
+    each row is decided by _row_verdict, each of b, c and b + c factored
+    once.
     """
     factor = functools.cache(factorize)
     rows = []
     for b, c in _integral_pairs(b_max, c_max, digits):
         values = _row_values(b, c)
-        rows.append((b, c, tuple(map(Fraction, values)), _row_verdict(b, c, values, factor)))
+        rows.append((b, c, values, _row_verdict(b, c, values, factor)))
     return rows

@@ -50,7 +50,7 @@ from itertools import compress
 from mpmath import iv, mp
 
 from .errors import DomainViolation, OversizedValue
-from .exact import check_precision, digit_limit, exceeds_digits, iv_precision
+from .exact import _prime_divisors, check_precision, digit_limit, exceeds_digits, iv_precision
 
 # Extra working precision; results are returned carrying these guard bits so
 # that structural identities (axis = strict + one factor) hold bit-exactly.
@@ -151,16 +151,6 @@ def mobius_sieve(n: int) -> list[int]:
                 break
             mu[i * p] = -mu[i]
     return mu
-
-
-def _prime_divisors(n: int) -> list[list[int]]:
-    """The primes dividing each of 0..n, ascending; [] for 0 and 1."""
-    primes_of: list[list[int]] = [[] for _ in range(n + 1)]
-    for q in range(2, n + 1):
-        if not primes_of[q]:
-            for r in range(q, n + 1, q):
-                primes_of[r].append(q)
-    return primes_of
 
 
 def count_visible(N: int) -> int:

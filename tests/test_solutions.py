@@ -340,15 +340,15 @@ def literal_scan(b_max: int, c_max: int) -> list[tuple[F, F]]:
 
 
 class TestSearchScanByGcd:
-    def test_gcd_test_matches_the_literal_divisibility_to_150(self):
-        for b in range(1, 151):
-            for c in range(1, 151):
-                assert solutions._family_is_integral(b, c) == ((b**c * c**b) % (b + c) == 0), (b, c)
+    def test_walk_matches_the_literal_divisibility_to_150(self):
+        assert solutions._integral_pairs(150, 150, 0) == literal_scan(150, 150)
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 2000), st.integers(1, 2000))
-    def test_gcd_test_matches_the_literal_divisibility(self, b, c):
-        assert solutions._family_is_integral(b, c) == ((b**c * c**b) % (b + c) == 0)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 4000 // n))))
+    def test_skewed_boxes_match_the_literal_scan_in_order(self, box):
+        # each box and its transpose: the walk runs over whichever bound is smaller
+        for b_max, c_max in (box, box[::-1]):
+            assert solutions._integral_pairs(b_max, c_max, 0) == literal_scan(b_max, c_max), (b_max, c_max)
 
     def test_search_60_60_matches_the_literal_scan(self):
         params = [t.params for t in search_integer_solutions(60, 60)]
@@ -405,16 +405,23 @@ class TestFirstOversizedRow:
         with pytest.raises(NonPositiveParameter):
             search_integer_solutions(0, 5, 1)
 
-    def test_a_box_is_scanned_once(self, monkeypatch):
-        # the refusal and the rows come from one gcd test per (b, c) pair
-        calls = Counter()
-        is_integral = solutions._family_is_integral
-        monkeypatch.setattr(
-            solutions, "_family_is_integral", lambda b, c: calls.update([(b, c)]) or is_integral(b, c)
-        )
-        with digit_limit(4300):
-            assert cli.main(["search", "20000", "1"]) == 0
-        assert sum(calls.values()) == 20000 and set(calls.values()) == {1}
+    def test_a_thin_box_asks_the_sieve_for_its_short_side(self, monkeypatch, capsys):
+        # the walk runs over the smaller bound, whatever the larger one, in either orientation
+        asked, walked, built = [], [], []
+        sieve, smooth, row_values = solutions._prime_divisors, solutions._smooth, solutions._row_values
+        monkeypatch.setattr(solutions, "_prime_divisors", lambda n: asked.append(n) or sieve(n))
+        monkeypatch.setattr(solutions, "_smooth", lambda primes, top: walked.append(top) or smooth(primes, top))
+        monkeypatch.setattr(solutions, "_row_values", lambda b, c: built.append((b, c)) or row_values(b, c))
+        for argv in (["search", "20000", "1"], ["search", "1", "20000"]):
+            with digit_limit(4300):
+                assert cli.main([*argv, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["results"]["solutions"] == []
+        assert asked == [1, 1] and walked == [] and built == []
+        for argv in (["search", "2000", "3"], ["search", "3", "2000"]):
+            with digit_limit(4300):
+                assert cli.main([*argv, "--json"]) == 0
+            capsys.readouterr()
+        assert asked == [1, 1, 3, 3] and walked == [2002, 2003] * 2
 
     def test_a_refused_box_builds_no_tuple(self, monkeypatch, capsys):
         built = []
