@@ -37,7 +37,6 @@ import math
 import os
 import re
 import sys
-from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -212,10 +211,11 @@ def _render(value, precision_bits: int | None) -> str:
 
     The text is what json.dumps(form, indent=2) writes of the record's form:
     ints, Fractions and products as _leaf gives them, each mpf as the
-    {dec, hex} of one render_real call, Enum members as their values and an
-    EvalReport field by field at its own precision.  The digit limit is read
-    once per record, and a leaf's path is built only when the leaf cannot be
-    printed, as the OversizedValue naming it.
+    {dec, hex} of one render_real call, strs (Convention and Form members
+    among them) as their values and an EvalReport field by field at its own
+    precision.  The digit limit is read once per record, and a leaf's path is
+    built only when the leaf cannot be printed, as the OversizedValue naming
+    it.
     """
     limit = digit_limit()
     try:
@@ -226,15 +226,13 @@ def _render(value, precision_bits: int | None) -> str:
 
 def _write(value, precision_bits: int | None, limit: int, newline: str) -> str:
     """_render's text of value, newline being the line break and indent of value's own line."""
-    kind = type(value)  # str and bool by exact type; an Enum member, a str too, keeps its branch
+    kind = type(value)  # str and bool by exact type; Convention and Form members are strs too
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is bool:
         return "true" if value else "false"
     if isinstance(value, (int, Fraction, PrimePowerProduct)):
         return _leaf(value, limit)
-    if isinstance(value, Enum):  # before str: Convention and Form subclass it
-        value = value.value
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, mp.mpf):
@@ -353,7 +351,7 @@ def cmd_family(args) -> dict:
         values = t.as_fractions()
     else:
         verified, mode = numeric_verify(t, args.precision).ok, "numeric"
-        values = [u.to_fraction() if u.is_rational else u for u in t.values()]
+        values = t.values()  # every member is a rational multiple of x, so none is rational here
     return _result("family", inputs, _tuple_payload(values, classify_triviality(t), verified, mode))
 
 
@@ -423,6 +421,7 @@ def cmd_transform(args) -> dict:
     has_abc = args.abc is not None
     if has_n == has_abc:
         raise ValueError("give exactly one source: --n N or --abc A B C")
+    check_box(args.truncation, args.truncation)  # a box below 1 is named before the instance is built
     if has_n:
         inst = pair_from_euler(args.n)
         inputs = {"n": args.n}
@@ -432,7 +431,6 @@ def cmd_transform(args) -> dict:
         try:  # a parameter past the digit limit is refused before it is multiplied out
             inst = quad_from_family(a, b, c)
         except OversizedValue as exc:
-            check_box(args.truncation, args.truncation)  # a box below 1 is reported first
             raise _oversized(exc.what) from None
         inputs = {"a": a, "b": b, "c": c}
         verify = verify_quad_transform

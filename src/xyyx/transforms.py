@@ -114,7 +114,7 @@ def quad_from_family(a: Fraction, b: Fraction, c: Fraction) -> TransformInstance
     Requires the underlying tuple to be rational-valued with every member
     above 1/2, so that each mapped parameter lands inside (-1, 1).  A member
     at or below 1/2, or a parameter that exceeds_digits at digit_limit(), is
-    refused on the exponent vectors (_refuse_early), before a long member is
+    refused on the exponent vectors (_refuse_early); no long member is ever
     multiplied out.
     """
     t = general_solution(a, b, c)
@@ -124,8 +124,8 @@ def quad_from_family(a: Fraction, b: Fraction, c: Fraction) -> TransformInstance
 
 
 def _refuse_early(t: SolutionTuple, digits: int) -> None:
-    """Raise what _instance, and then printing the parameters, would raise on t, where
-    the members' exponent vectors make it sure; otherwise return.
+    """Raise what _instance, and then printing the parameters, would raise on t
+    (or an equally true refusal), multiplying out no long member; else return.
 
     A member u = n/d in lowest terms, 2^lo <= max(n, d) <= 2^hi
     (log2_bounds), maps to the parameter (n - d)/n, whose larger term, n >=
@@ -134,8 +134,9 @@ def _refuse_early(t: SolutionTuple, digits: int) -> None:
     short returns at once.  A parameter they do not find long is built from
     its member, of hi <= 2 lo <= 8 digits bits, and checked as _instance would.
     A long one is compared with 1/2 by log_interval: below it is check_unit's
-    refusal of a long value, and too close to tell leaves t to the full
-    computation.  With every u > 1/2, the first long parameter is refused.
+    refusal of a long value; otherwise, too close to tell included, it is long
+    on either side of 1/2.  The first long parameter is refused unless a
+    member is found at or below 1/2.
     """
     verdicts = [exceeds_digits(None, digits, (lo - 1, hi)) for lo, hi in map(log2_bounds, t.values())]
     if all(long is False for long in verdicts):
@@ -144,11 +145,8 @@ def _refuse_early(t: SolutionTuple, digits: int) -> None:
     for name, u, long in zip("XYVW", t.values(), verdicts):
         if long:
             with iv_precision(128):
-                log_2u = log_interval(u) + iv.log(2)
-            if log_2u.b < 0:
-                raise unit_violation(name, digits)
-            if log_2u.a <= 0:  # too close to 1/2 to tell
-                return
+                if (log_interval(u) + iv.log(2)).b < 0:
+                    raise unit_violation(name, digits)
         else:
             long = exceeds_digits(check_unit(name, 1 - 1 / u.to_fraction()), digits)
         if long and not oversized:
@@ -182,7 +180,8 @@ def estimated_points(evaluations: int, N: int) -> int:
 
 
 def check_point_budget(evaluations: int, N: int) -> None:
-    """Refuse product evaluations whose estimated points exceed POINT_BUDGET."""
+    """Refuse a box below 1 (check_box), then evaluations whose estimated points exceed POINT_BUDGET."""
+    check_box(N, N)
     points = estimated_points(evaluations, N)
     if points > POINT_BUDGET:
         raise PointBudgetExceeded(

@@ -191,6 +191,14 @@ class TestVerify:
         assert code == 0 and doc["results"]["verified"] is True
         assert calls == []
 
+    def test_runs_as_a_module(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "xyyx", "verify", "1/3", "1/6", "1/2", "4/3", "--json"],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["results"]["verified"] is True
+
     def test_false_case(self, capsys):
         code, doc = run_json(capsys, "verify", "2/1", "3/1", "2/1", "4/1")
         assert code == 0 and doc["results"]["verified"] is False
@@ -713,6 +721,8 @@ class TestTransform:
             (("8", "6", "2"), ("--truncation", "0"), "box bounds must be >= 1"),
             # X past the digit limit: the record the full computation gives
             (("30001/10000", "2", "2"), ("--truncation", "0"), "box bounds must be >= 1"),
+            # x = 1/2: the box is named before X = -1 leaves (-1, 1)
+            (("2", "1", "1"), ("--truncation", "0"), "box bounds must be >= 1"),
         ],
     )
     def test_quad_inputs_checked_before_the_fallback(self, capsys, abc, flags, message):
@@ -729,6 +739,23 @@ class TestTransform:
 
 
 class TestPointBudget:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("transform", "--n", "0", "--truncation", "0"),
+            ("vpv-eval", "1/2", "3/4", "--truncation", "-4056"),
+            ("vpv-eval", "1/2", "3/4", "--truncation", "-5000"),
+            ("vpv-eval", "3/2", "3/4", "--truncation", "-4056"),
+            ("vpv-eval", "3/2", "3/4", "--truncation", "-5000"),
+        ],
+    )
+    def test_a_box_below_1_is_named_first(self, capsys, argv):
+        # before the index n, the domain of X and the point budget: a box of
+        # -4056 x -4056 would be estimated at more than 10^7 points
+        code, doc = run_json(capsys, *argv)
+        assert code == 1 and doc["status"] == "error"
+        assert "box bounds must be >= 1" in doc["message"]
+
     @pytest.mark.parametrize(
         "argv",
         [

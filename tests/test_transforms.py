@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from xyyx import exact, solutions, transforms
-from xyyx.errors import DomainViolation, NonRationalTuple, PointBudgetExceeded
+from xyyx.errors import DomainViolation, NonRationalTuple, OversizedValue, PointBudgetExceeded
 from xyyx.exact import PrimePowerProduct, iv_precision
 from xyyx.solutions import (
     euler_solution,
@@ -101,6 +101,26 @@ class TestQuadFromFamily:
         inst, t = quad_from_family(a, b, c), general_solution(a, b, c)
         assert tuple(1 / (1 - q) for q in inst.parameters()) == t.as_fractions()
         assert closed_equality_check(inst) is verify_product_equation(t) is True
+
+    def test_long_member_too_close_to_half_is_refused_unbuilt(self, monkeypatch):
+        # x = 2^(p-1) 3^-q for a convergent p/q of log2(3) with q > 2^70: log(2x) is below
+        # 2^-70, under the width of the 128-bit interval, so it cannot be placed against 1/2,
+        # and its parameter, long on either side, is refused without 3^q being multiplied out
+        with mp.workprec(512):
+            r = mp.log(3, 2)
+            p0, p, q0, q = 0, 1, 1, 0
+            while q <= 2**70:
+                a = int(mp.floor(r))
+                r = 1 / (r - a)
+                p0, p, q0, q = p, a * p + p0, q, a * q + q0
+        two = PrimePowerProduct.from_int(2)
+        t = solutions.SolutionTuple(PrimePowerProduct(((2, p - 1), (3, -q))), two, two, two)
+        built = []
+        to_fraction = PrimePowerProduct.to_fraction
+        monkeypatch.setattr(PrimePowerProduct, "to_fraction", lambda u: built.append(u) or to_fraction(u))
+        with pytest.raises(OversizedValue, match=r"^parameters\.X has more than 4300 decimal digits$"):
+            transforms._refuse_early(t, 4300)
+        assert t.x not in built
 
     def test_instance_holds_only_parameters(self):
         fields = TransformInstance.__dataclass_fields__
